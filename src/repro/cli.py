@@ -50,7 +50,7 @@ from repro.observe import journal as observe_journal
 from repro.observe import sweep_report as observe_sweep
 from repro.observe import trend as observe_trend
 from repro.predictors.registry import PREDICTORS
-from repro.sched import executor_names
+from repro.sched import EXECUTOR_CHOICES
 from repro.sim import bench, experiments
 from repro.sim.results import ipc_improvement, mpki_improvement
 from repro.sim.sampling import select_simpoints
@@ -59,8 +59,7 @@ from repro.sim.variants import variant_names
 from repro.telemetry import Tracer
 from repro.workloads import suite
 
-LIST_KINDS = ("benchmarks", "predictors", "configs", "variants",
-              "executors", "all")
+LIST_KINDS = ("benchmarks", "predictors", "configs", "variants", "all")
 
 
 def _config_choices() -> List[str]:
@@ -97,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "batched replay uses the columnar kernel "
                             "(0 = auto-calibrate)")
     config_cmd.add_argument("--executor", default=None,
-                            choices=executor_names(),
+                            choices=EXECUTOR_CHOICES,
                             help="sweep executor backend "
                             "('auto' picks inline/pool by job count)")
     config_cmd.add_argument("--result-store-dir", default=None,
@@ -160,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "wall_seconds from a prior journal of the same "
                          "sweep (better parallel packing)")
     compare.add_argument("--executor", default=None,
-                         choices=executor_names(),
+                         choices=EXECUTOR_CHOICES,
                          help="sweep executor backend (default: resolved "
                          "config; 'auto' picks inline/pool by job count)")
     compare.add_argument("--progress", action="store_true",
@@ -205,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="force the live progress line on stderr "
                            "(auto-enabled on a tty)")
     bench_cmd.add_argument("--executor", default=None,
-                           choices=executor_names(),
+                           choices=EXECUTOR_CHOICES,
                            help="sweep executor backend for the optimized "
                            "pass (default: resolved config)")
 
@@ -322,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                   help="parallel worker processes for the "
                                   "resumed run (default: resolved config)")
     sweep_resume_cmd.add_argument("--executor", default=None,
-                                  choices=executor_names(),
+                                  choices=EXECUTOR_CHOICES,
                                   help="executor backend for the resumed "
                                   "run (default: resolved config)")
     sweep_resume_cmd.add_argument("--result-store-dir", default=None,
@@ -434,16 +433,6 @@ def _cmd_list(args) -> int:
                 replay = "yes" if experiments.is_predictor_only(name) \
                     else "no"
                 print(f"{name:20s} {replay:>11s}")
-        elif kind == "executors":
-            from repro.sched import EXECUTORS
-            print(f"{'name':14s} {'in-process':>10s}  description")
-            print(f"{'auto':14s} {'':>10s}  pool when jobs > 1 and more "
-                  f"than one unit is pending, else inline")
-            for name in EXECUTORS.names(sort=True):
-                meta = EXECUTORS.meta(name)
-                in_process = "yes" if meta.get("in_process") else "no"
-                print(f"{name:14s} {in_process:>10s}  "
-                      f"{meta.get('description', '')}")
     return 0
 
 
@@ -530,7 +519,6 @@ def _compare_predictor_sweep(args, run_config, names) -> int:
                                      instructions=run_config.instructions,
                                      warmup=run_config.warmup,
                                      jobs=args.jobs,
-                                     chunksize=len(tokens),
                                      outputs="mpki",
                                      journal=args.journal,
                                      progress=progress,
@@ -587,7 +575,7 @@ def _cmd_compare(args) -> int:
                                      instructions=run_config.instructions,
                                      warmup=run_config.warmup,
                                      jobs=args.jobs,
-                                     chunksize=2, outputs=outputs,
+                                     outputs=outputs,
                                      journal=args.journal,
                                      progress=progress,
                                      order_from=args.order_from,
@@ -923,7 +911,6 @@ def _cmd_sweep_resume(args) -> int:
         "cells_executed": len(cells) - resumed,
         "cells_failed": len(failed),
         "executor": stats.get("executor"),
-        "mode": stats.get("mode"),
         "digests": digests,
     }
     if args.json:

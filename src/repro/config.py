@@ -85,8 +85,8 @@ class RunConfig:
     #: from lockstep to the columnar kernel (0 = auto: the value
     #: calibrated by ``warm_backend()``, else a static default).
     batch_min_lanes: int = 0
-    #: Sweep executor backend (``auto`` picks inline/pool by job count;
-    #: see :mod:`repro.sched.executors` for the registry).
+    #: Sweep executor backend: ``auto``, ``inline`` or ``pool`` (``auto``
+    #: picks inline/pool by job count; see :mod:`repro.sched.executors`).
     executor: str = "auto"
     #: Directory for the content-addressed sweep result store (None =
     #: no store: sweeps are neither written through nor resumable).

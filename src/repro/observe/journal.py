@@ -15,7 +15,7 @@ back.
 
 Event vocabulary::
 
-    sweep_started    manifest + fingerprint + cell plan + jobs/chunksize
+    sweep_started    manifest + fingerprint + cell plan + jobs
     worker_started   one per worker process, with *its own* run manifest
     cell_started     index/benchmark/variant, worker wall-clock start
     cell_finished    wall seconds, peak-RSS delta, cache-hit flags,
@@ -28,7 +28,7 @@ Event vocabulary::
 A journal whose process was killed mid-sweep simply stops early: the
 reader tolerates a truncated final line and a missing ``sweep_finished``
 and reports the sweep as *incomplete* rather than failing to parse —
-this is the resume substrate the DAG-scheduler roadmap item consumes.
+this is what ``repro sweep resume`` keys on.
 
 Setting ``REPRO_PROFILE=cprofile`` while journaling makes every worker
 dump per-cell ``pstats`` files under ``<journal>.profile/``;
@@ -77,7 +77,6 @@ class SweepRecorder:
                  config=None,
                  cells: Sequence[Tuple[str, str]] = (),
                  jobs: int = 1,
-                 chunksize: Optional[int] = None,
                  outputs: str = "full",
                  sweep_id: Optional[str] = None,
                  profile: Optional[str] = None,
@@ -88,7 +87,6 @@ class SweepRecorder:
         self.config = config
         self.cells = [tuple(cell) for cell in cells]
         self.jobs = jobs
-        self.chunksize = chunksize
         self.outputs = outputs
         self.sweep_id = sweep_id
         self.start_method = start_method
@@ -147,7 +145,6 @@ class SweepRecorder:
             cells=[list(cell) for cell in self.cells],
             total_cells=self.total,
             jobs=self.jobs,
-            chunksize=self.chunksize,
             outputs=self.outputs,
             profile=self.profile,
             start_method=self.start_method,

@@ -182,9 +182,7 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST,
         if kind == "dag_built":
             scheduler = {
                 "executor": event.get("executor"),
-                "mode": event.get("mode"),
                 "nodes": event.get("nodes"),
-                "edges": len(event.get("edges") or []),
                 "units": event.get("units"),
                 "jobs": event.get("jobs"),
                 "resumed_cells": len(event.get("resumed_cells") or []),
@@ -342,9 +340,7 @@ def format_sweep_report(report: dict) -> str:
     if scheduler:
         lines.append(
             f"  sched   : executor={scheduler['executor']} "
-            f"mode={scheduler['mode']} "
-            f"{scheduler['nodes']} node(s), {scheduler['edges']} edge(s), "
-            f"{scheduler['units']} unit(s)"
+            f"{scheduler['nodes']} node(s), {scheduler['units']} unit(s)"
             + (f", {scheduler['resumed_cells']} cell(s) resumed from store"
                if scheduler["resumed_cells"] else ""))
     mismatch = report.get("plan_mismatch")

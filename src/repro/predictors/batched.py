@@ -5,10 +5,9 @@ predictor configurations.  Run scalar, that costs N full Python loops of
 ``observe(pc, taken)``; this module advances all N lanes over one pass
 of the stream, which is where the sweep fast path's 10x comes from.
 
-Two backends, selected by :func:`numpy_backend` (``REPRO_BATCH_BACKEND``
-= ``auto``/``numpy``/``pure``):
+Two engines:
 
-* **numpy** — per-family vectorized kernels over the whole stream:
+* **numpy kernels** — per-family vectorized kernels over the whole stream:
 
   - *saturating-counter tables* (bimodal, gshare): the full index stream
     of a lane is computable up front (bimodal indexes on the PC alone;
@@ -43,13 +42,13 @@ Two backends, selected by :func:`numpy_backend` (``REPRO_BATCH_BACKEND``
   families (local-history, loop-only hybrids, custom subclasses) always
   take the lockstep path.
 
-* **pure** — a lockstep scalar loop sharing one pass of the stream (and
-  one ``bool()`` conversion of the outcome column) across lanes.  Always
-  available, no third-party imports; this is also the differential
-  reference the numpy kernels are pinned against in
+* **lockstep** (:func:`_lockstep`) — a scalar loop sharing one pass of
+  the stream (and one ``bool()`` conversion of the outcome column)
+  across lanes.  It runs every lane the kernels decline, and it is the
+  differential reference the numpy kernels are pinned against in
   ``tests/test_batch_replay.py``.
 
-Both backends reproduce ``predict → update`` per branch bit-exactly, so
+Both engines reproduce ``predict → update`` per branch bit-exactly, so
 per-lane mispredicted-PC sequences — and therefore MPKI, per-PC
 breakdowns, and payload digests — match the scalar
 :func:`~repro.sim.predictor_replay.replay_mpki` for every lane.  After a
@@ -60,18 +59,15 @@ callers treat lane predictors as consumed.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.predictors import tage_batch
 from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
-
-#: ``auto`` (default) uses numpy when importable; ``numpy`` requires it;
-#: ``pure``/``off``/``none``/``0`` forces the array fallback.
-BACKEND_ENV = "REPRO_BATCH_BACKEND"
 
 #: Below this many pristine perceptron lanes the per-event numpy overhead
 #: outweighs the stacked-lane win; lockstep is faster.
@@ -100,8 +96,6 @@ def warm_backend() -> None:
     :func:`tage_min_lanes`).  Perf harnesses call this off-clock so a
     timed first batch measures kernel throughput, not interpreter warmup.
     """
-    if numpy_backend() is None:
-        return
     pcs = [(i * 97) & 0xFFFF for i in range(256)]
     takens = [bool((i * 11) & 4) for i in range(256)]
     replay_lanes([BimodalPredictor(size_log2=6),
@@ -122,7 +116,6 @@ def _calibrate_tage_min() -> None:
     global _calibrated_tage_min
     if _calibrated_tage_min is not None:
         return
-    np = numpy_backend()
     from time import perf_counter
 
     from repro.predictors.tage import TageConfig, TagePredictor
@@ -171,21 +164,6 @@ def tage_min_lanes(explicit: Optional[int] = None) -> int:
     return _calibrated_tage_min or DEFAULT_TAGE_MIN_LANES
 
 
-def numpy_backend():
-    """The numpy module to vectorize with, or None for the pure backend."""
-    mode = (os.environ.get(BACKEND_ENV) or "auto").strip().lower()
-    if mode in ("pure", "off", "none", "0"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        if mode == "numpy":
-            raise RuntimeError(
-                f"{BACKEND_ENV}=numpy but numpy is not importable")
-        return None
-    return numpy
-
-
 def replay_lanes(predictors: Sequence[BranchPredictor],
                  pcs: Sequence[int], takens: Sequence[int],
                  split: int,
@@ -204,14 +182,13 @@ def replay_lanes(predictors: Sequence[BranchPredictor],
     ``0`` both mean auto (see :func:`tage_min_lanes`); callers with a
     resolved config pass ``RunConfig.batch_min_lanes`` through.
     """
-    np = numpy_backend()
-    if np is None or len(pcs) == 0:
+    if len(pcs) == 0:
         return _lockstep(predictors, pcs, takens, split)
     return _numpy_lanes(np, predictors, pcs, takens, split,
                         tage_min_lanes(min_lanes))
 
 
-# -- pure backend ------------------------------------------------------------
+# -- lockstep ----------------------------------------------------------------
 
 def _lockstep(predictors: Sequence[BranchPredictor],
               pcs: Sequence[int], takens: Sequence[int],
@@ -220,7 +197,7 @@ def _lockstep(predictors: Sequence[BranchPredictor],
 
     Valid for any predictor in any starting state — it drives the
     instances' own ``observe`` — so it doubles as the escape hatch for
-    trained/unsupported lanes inside the numpy backend.
+    trained/unsupported lanes inside the numpy kernels.
     """
     outcomes = [bool(taken) for taken in takens]
     lanes: List[List[int]] = [[] for _ in predictors]
@@ -240,7 +217,7 @@ def _lockstep(predictors: Sequence[BranchPredictor],
     return lanes
 
 
-# -- numpy backend -----------------------------------------------------------
+# -- numpy kernels -----------------------------------------------------------
 
 def _uniform(store, value: int) -> bool:
     if isinstance(store, (bytes, bytearray)):

@@ -2,7 +2,7 @@
 
 The simulation stack is a cross-product of pluggable components —
 predictors, Branch Runahead configurations, named experiment variants,
-benchmarks, sweep executor backends.  Each family keeps a
+benchmarks.  Each family keeps a
 :class:`Registry` instance and exposes a ``register_*`` decorator,
 replacing the hand-maintained literal dicts the harness grew up with
 (``PREDICTOR_FACTORIES``, ``VARIANTS``, the ``BENCHMARKS`` list):
@@ -143,10 +143,6 @@ class Registry:
 
     def entries(self) -> List[Entry]:
         return list(self._entries.values())
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain ``{name: obj}`` snapshot (registration order)."""
-        return {name: entry.obj for name, entry in self._entries.items()}
 
     def __repr__(self) -> str:
         return f"Registry({self.kind!r}, {list(self._entries)})"

@@ -1,40 +1,33 @@
-"""Dependency-aware sweep scheduling (``repro.sched``).
+"""Sweep scheduling (``repro.sched``).
 
-The subsystem behind ``run_cells``: a record → replay dependency DAG
-(:mod:`~repro.sched.dag`), pluggable executor backends behind one
-registry (:mod:`~repro.sched.executors`), a content-addressed result
+The subsystem behind ``run_cells``: plan ordering and benchmark-aligned
+dispatch units (:mod:`~repro.sched.plan`), the inline and pool executor
+backends (:mod:`~repro.sched.executors`), a content-addressed result
 store for crash-resumable sweeps (:mod:`~repro.sched.store`), and the
 dispatch loop tying them together (:mod:`~repro.sched.scheduler`).
 """
 
-from repro.sched.dag import (
-    DagNode,
-    SweepDag,
+from repro.sched.executors import (
+    EXECUTOR_CHOICES,
+    InlineExecutor,
+    PoolExecutor,
+    resolve_executor_name,
+)
+from repro.sched.plan import (
     SweepPlanMismatchWarning,
-    build_dag,
     build_units,
     describe_mismatch,
     order_plan,
-)
-from repro.sched.executors import (
-    EXECUTORS,
-    Executor,
-    InlineExecutor,
-    PoolExecutor,
-    executor_names,
-    make_executor,
-    register_executor,
-    resolve_executor_name,
+    task_cells,
 )
 from repro.sched.scheduler import SweepScheduler, store_outputs_mode
 from repro.sched.store import RESULT_FORMAT_VERSION, ResultStore, result_key
 
 __all__ = [
-    "DagNode", "SweepDag", "SweepPlanMismatchWarning", "build_dag",
-    "build_units", "describe_mismatch", "order_plan",
-    "EXECUTORS", "Executor", "InlineExecutor", "PoolExecutor",
-    "executor_names", "make_executor", "register_executor",
+    "EXECUTOR_CHOICES", "InlineExecutor", "PoolExecutor",
     "resolve_executor_name",
+    "SweepPlanMismatchWarning", "build_units", "describe_mismatch",
+    "order_plan", "task_cells",
     "SweepScheduler", "store_outputs_mode",
     "RESULT_FORMAT_VERSION", "ResultStore", "result_key",
 ]

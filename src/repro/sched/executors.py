@@ -1,16 +1,7 @@
-"""Pluggable sweep executor backends (``repro.sched.executors``).
+"""Sweep executor backends (``repro.sched.executors``).
 
-The DAG scheduler dispatches *units* (lists of tasks) without caring how
-they run; an :class:`Executor` turns a submitted unit into a completion
-callback.  Backends register through the same decorator registry every
-other component family uses (:data:`EXECUTORS`), so a remote or
-container backend is a one-decorator job:
-
-    @register_executor("remote", description="...")
-    def make_remote(jobs, start_method):
-        return RemoteExecutor(...)
-
-Two backends ship in-tree:
+The scheduler dispatches *units* (lists of tasks) through one of two
+backends, chosen by the config-layered ``executor`` knob:
 
 * ``inline`` — runs units in the calling process, one at a time
   (``max_inflight=1``), preserving the serial runner's per-cell
@@ -18,60 +9,32 @@ Two backends ship in-tree:
   finishes, which the kill-mid-sweep journal semantics rely on);
 * ``pool`` — a ``multiprocessing`` pool (fork preferred, spawn
   fallback; ``start_method``/``REPRO_MP_START`` forces one), completing
-  units via ``apply_async`` callbacks, which is what lets the scheduler
-  dispatch dependent units to whichever worker goes idle first
-  (work-stealing) instead of pre-assigning chunks.
+  units via ``apply_async`` callbacks so finished units drain in
+  completion order.
 
-``resolve_executor`` maps the config-layered ``executor`` knob to a
-started instance; the ``auto`` default picks ``inline`` for serial or
-single-unit sweeps and ``pool`` otherwise — exactly the branch the flat
-``pool.imap`` runner used to take.
+Both implement ``submit(unit_id, fn, arg, done)``, which must
+eventually invoke ``done(unit_id, result_or_exception)`` exactly once.
+``auto`` (the default) picks ``inline`` for serial or single-unit
+sweeps and ``pool`` otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
-from repro.registry import Registry
+from repro.registry import UnknownComponentError
 
-#: The executor-backend registry (``repro sweep``'s ``--executor`` choices).
-EXECUTORS = Registry("executor")
-
-
-def register_executor(name: str, obj=None, **meta):
-    """Register an executor factory ``(jobs, start_method) -> Executor``."""
-    return EXECUTORS.register(name, obj, **meta)
+#: Valid ``executor`` values (the CLI ``--executor`` choices).
+EXECUTOR_CHOICES = ("auto", "inline", "pool")
 
 
-class Executor:
-    """Minimal dispatch protocol the scheduler drives.
-
-    ``submit(unit_id, fn, arg, done)`` must eventually invoke
-    ``done(unit_id, result_or_exception)`` exactly once; ``done`` is
-    thread-safe on the scheduler side.  ``max_inflight`` bounds how many
-    units the scheduler keeps submitted at once (None = unbounded — the
-    backend queues internally).
-    """
-
-    name = "abstract"
-    max_inflight: Optional[int] = None
-
-    def start(self) -> None:
-        """Acquire backend resources (processes, connections)."""
-
-    def submit(self, unit_id: int, fn: Callable, arg,
-               done: Callable[[int, object], None]) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources; idempotent."""
-
-
-class InlineExecutor(Executor):
+class InlineExecutor:
     """Run units synchronously in the calling process."""
 
-    name = "inline"
-    max_inflight = 1
+    max_inflight: Optional[int] = 1
+
+    def start(self) -> None:
+        pass
 
     def submit(self, unit_id: int, fn: Callable, arg,
                done: Callable[[int, object], None]) -> None:
@@ -80,15 +43,17 @@ class InlineExecutor(Executor):
         # structured rows) aborts the sweep with a truncated journal
         done(unit_id, fn(arg))
 
+    def close(self) -> None:
+        pass
+
     def __repr__(self) -> str:
         return "InlineExecutor()"
 
 
-class PoolExecutor(Executor):
+class PoolExecutor:
     """``multiprocessing.Pool`` backend (fork preferred, spawn fallback)."""
 
-    name = "pool"
-    max_inflight = None
+    max_inflight: Optional[int] = None
 
     def __init__(self, jobs: int, start_method: Optional[str] = None):
         self.jobs = max(1, jobs)
@@ -124,41 +89,17 @@ class PoolExecutor(Executor):
                 f"start_method={self.start_method!r})")
 
 
-@register_executor("inline", in_process=True,
-                   description="run units serially in the calling process")
-def _make_inline(jobs: int, start_method: Optional[str]) -> Executor:
-    return InlineExecutor()
-
-
-@register_executor("pool", in_process=False,
-                   description="multiprocessing worker pool "
-                   "(fork preferred, spawn fallback)")
-def _make_pool(jobs: int, start_method: Optional[str]) -> Executor:
-    return PoolExecutor(jobs, start_method=start_method)
-
-
-def executor_names() -> List[str]:
-    """``auto`` plus every registered backend (CLI ``--executor`` choices)."""
-    return ["auto"] + EXECUTORS.names(sort=True)
-
-
 def resolve_executor_name(name: Optional[str], jobs: int,
                           pending_tasks: int) -> str:
-    """Map the layered ``executor`` knob to a concrete backend name.
+    """Map the layered ``executor`` knob to ``"inline"`` or ``"pool"``.
 
     ``auto`` (or empty) keeps the flat runner's branch: serial sweeps
     and single-task sweeps run inline, everything else pools.  Unknown
-    names raise :class:`~repro.registry.UnknownComponentError` with
-    near-miss suggestions at *resolution* time, so config files can name
-    backends registered by plug-in modules.
+    names raise :class:`~repro.registry.UnknownComponentError`, which
+    suggests near misses and lists the valid choices.
     """
     if name in (None, "", "auto"):
         return "pool" if jobs > 1 and pending_tasks > 1 else "inline"
-    EXECUTORS.entry(name)  # raises with suggestions if unknown
+    if name not in EXECUTOR_CHOICES:
+        raise UnknownComponentError("executor", name, list(EXECUTOR_CHOICES))
     return name
-
-
-def make_executor(name: str, jobs: int,
-                  start_method: Optional[str] = None) -> Executor:
-    """Instantiate a registered backend (not yet started)."""
-    return EXECUTORS.get(name)(jobs, start_method)

@@ -1,28 +1,26 @@
-"""Dependency-aware sweep dispatch (``repro.sched.scheduler``).
+"""Sweep dispatch (``repro.sched.scheduler``).
 
-:class:`SweepScheduler` replaces ``run_cells``'s flat ``pool.imap`` with
-an explicit plan → probe → dispatch pipeline:
+:class:`SweepScheduler` runs ``run_cells``'s compiled tasks as a plan →
+probe → dispatch pipeline:
 
 1. **Store probe** — when the session has a content-addressed
    :class:`~repro.sched.store.ResultStore`, every task's cells are probed
    first; a task whose every member already landed (an earlier killed
    sweep of the same config) is *resumed*: its rows are synthesized from
    the store and never dispatched.
-2. **DAG build** — the remaining tasks become a record → replay
-   dependency graph (:func:`~repro.sched.dag.build_dag`), journaled as a
-   ``dag_built`` scheduler event so the trace-record → replay structure
-   of the sweep is observable after the fact.
-3. **Dispatch** — units (:func:`~repro.sched.dag.build_units`) are
-   submitted to a pluggable :class:`~repro.sched.executors.Executor`
-   backend; completions drain through one queue, so any idle worker
-   picks up whatever unit becomes ready next (work-stealing — a replay
-   released by ``mcf_17``'s record node goes to whichever worker is free,
-   not to a pre-assigned chunk).
+2. **Units** — an inline sweep dispatches one task per unit; a pool
+   sweep groups the remaining tasks into benchmark-aligned units
+   (:func:`~repro.sched.plan.build_units`).  The plan is journaled as a
+   ``dag_built`` scheduler event.
+3. **Dispatch** — units go to an
+   :class:`~repro.sched.executors.InlineExecutor` or
+   :class:`~repro.sched.executors.PoolExecutor`; completions drain
+   through one queue in whatever order workers finish them.
 
 Rows are **recorded in task order** regardless of completion order: a
-per-node buffer plus a cursor flush the contiguous prefix, which keeps
-journal event sequences — and therefore journal digests — identical to
-the old ordered-``imap`` runner for any job count.
+per-task buffer plus a cursor flush the contiguous prefix, which keeps
+journal event sequences — and therefore journal digests — identical for
+any job count.
 
 This module never imports :mod:`repro.session` (the worker entry point
 is injected), so the scheduler stays importable from workers and tools
@@ -36,15 +34,18 @@ import queue
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.sched.dag import DagNode, SweepDag, build_dag, build_units
-from repro.sched.executors import make_executor, resolve_executor_name
+from repro.sched.executors import (
+    InlineExecutor,
+    PoolExecutor,
+    resolve_executor_name,
+)
+from repro.sched.plan import build_units, task_cells
 from repro.sched.store import ResultStore, result_key
 from repro.sim.variants import is_predictor_only
 
 #: Scheduler counters published under ``host.scheduler.*`` (satellite:
 #: StatRegistry visibility without touching any scalar payload digest).
-_STAT_FIELDS = ("cells_scheduled", "cells_resumed_from_store",
-                "dag_nodes", "dag_edges", "units", "steals")
+_STAT_FIELDS = ("cells_scheduled", "cells_resumed_from_store", "units")
 
 
 def store_outputs_mode(outputs: str, variant: str) -> str:
@@ -61,7 +62,7 @@ def store_outputs_mode(outputs: str, variant: str) -> str:
 
 
 class SweepScheduler:
-    """One sweep's plan, dependency graph, and dispatch loop.
+    """One sweep's plan, store probe, and dispatch loop.
 
     ``tasks`` is ``run_cells``'s compiled task list (scalar cells and
     fused batch groups, already plan-ordered); ``worker_fn`` is the
@@ -76,7 +77,6 @@ class SweepScheduler:
                  inline_fn: Optional[
                      Callable[[List[tuple]], List[List[dict]]]] = None,
                  jobs: int = 1,
-                 chunksize: Optional[int] = None,
                  executor: Optional[str] = None,
                  start_method: Optional[str] = None,
                  recorder=None,
@@ -91,7 +91,6 @@ class SweepScheduler:
         #: path), instead of re-resolving a session from the config.
         self.inline_fn = inline_fn
         self.jobs = max(1, jobs)
-        self.chunksize = chunksize
         self.executor_knob = executor
         self.start_method = start_method
         self.recorder = recorder
@@ -99,13 +98,10 @@ class SweepScheduler:
         self.outputs = outputs
         self.mismatch = mismatch
         self.fingerprint = task_config.fingerprint()
-        self.dag: Optional[SweepDag] = None
         self.executor_name: Optional[str] = None
-        self.mode: Optional[str] = None
         self.units = 0
         self.cells_scheduled = 0
         self.cells_resumed_from_store = 0
-        self.steals = 0
 
     # -- store integration -------------------------------------------------
 
@@ -115,11 +111,11 @@ class SweepScheduler:
                           self.task_config.warmup,
                           store_outputs_mode(self.outputs, variant))
 
-    def _probe_node(self, node: DagNode,
+    def _probe_task(self, task: tuple,
                     carry_manifest: bool) -> Optional[List[dict]]:
-        """Synthesized rows for a fully-landed node, else None.
+        """Synthesized rows for a fully-landed task, else None.
 
-        A batch node resumes only when *every* member landed — the fused
+        A batch group resumes only when *every* member landed — the fused
         replay is all-or-nothing, and a partial group re-executes whole
         (its already-landed members are simply re-stored as no-op puts).
         The first synthesized row of a journaled sweep carries the
@@ -127,7 +123,7 @@ class SweepScheduler:
         vouch for the stream these rows land on.
         """
         records = []
-        for index, benchmark, variant in node.cells:
+        for index, benchmark, variant in task_cells(task):
             record = self.store.get(self._cell_key(benchmark, variant))
             if record is None:
                 return None
@@ -179,33 +175,29 @@ class SweepScheduler:
 
     def run(self) -> List[dict]:
         """Execute the sweep; rows come back in task (plan) order."""
-        dag = self.dag = build_dag(self.tasks)
-        node_rows: Dict[int, List[dict]] = {}
+        tasks = self.tasks
+        task_rows: Dict[int, List[dict]] = {}
         resumed_cells: List[int] = []
         if self.store is not None:
-            for node in dag.nodes:
-                rows = self._probe_node(
-                    node, carry_manifest=not resumed_cells)
+            for position, task in enumerate(tasks):
+                rows = self._probe_task(
+                    task, carry_manifest=not resumed_cells)
                 if rows is not None:
-                    node_rows[node.id] = rows
+                    task_rows[position] = rows
                     resumed_cells.extend(
-                        index for index, _, _ in node.cells)
-        pending = [node for node in dag.nodes if node.id not in node_rows]
+                        index for index, _, _ in task_cells(task))
+        pending = [position for position in range(len(tasks))
+                   if position not in task_rows]
         self.cells_resumed_from_store = len(resumed_cells)
-        self.cells_scheduled = sum(len(node.cells) for node in pending)
+        self.cells_scheduled = sum(len(task_cells(tasks[position]))
+                                   for position in pending)
         self.executor_name = resolve_executor_name(
             self.executor_knob, self.jobs, len(pending))
-        if self.executor_name == "inline":
-            # dependency edges are trivially satisfied by plan order
-            self.mode = "serial"
-        elif self.task_config.trace_cache_dir is not None:
-            # a shared disk trace store makes record → replay edges
-            # enforceable across processes
-            self.mode = "dag"
+        inline = self.executor_name == "inline"
+        if inline:
+            units = [[position] for position in pending]
         else:
-            self.mode = "chunked"
-        units, unit_deps = build_units(dag, pending, self.mode,
-                                       self.jobs, self.chunksize)
+            units = build_units(tasks, pending, self.jobs)
         self.units = len(units)
 
         if self.recorder is not None:
@@ -216,10 +208,8 @@ class SweepScheduler:
                                            **self.mismatch)
             self.recorder.record_event(
                 "dag_built",
-                nodes=len(dag.nodes),
-                edges=[list(edge) for edge in dag.edge_cells],
+                nodes=len(tasks),
                 units=len(units),
-                mode=self.mode,
                 executor=self.executor_name,
                 jobs=self.jobs,
                 resumed_cells=sorted(resumed_cells))
@@ -228,81 +218,52 @@ class SweepScheduler:
         cursor = 0
 
         def flush() -> None:
-            # record/return strictly by node (= plan) position: identical
-            # journal sequences to the old ordered imap for any job count
+            # record/return strictly by task (= plan) position: identical
+            # journal sequences for any job count
             nonlocal cursor
-            while cursor < len(dag.nodes) and cursor in node_rows:
-                for row in node_rows[cursor]:
+            while cursor < len(tasks) and cursor in task_rows:
+                for row in task_rows[cursor]:
                     if self.recorder is not None:
                         self.recorder.record_row(row)
                     rows_out.append(row)
                 cursor += 1
 
-        flush()  # leading resumed nodes stream immediately
+        flush()  # leading resumed tasks stream immediately
         if not units:
             return rows_out
 
-        unit_tasks = [[dag.nodes[node_id].task for node_id in unit]
-                      for unit in units]
-        unit_fn = self.inline_fn \
-            if self.executor_name == "inline" and self.inline_fn \
+        unit_fn = self.inline_fn if inline and self.inline_fn \
             else self.worker_fn
-        indegree = {unit_id: len(deps)
-                    for unit_id, deps in unit_deps.items()}
-        dependents: Dict[int, List[int]] = {}
-        for unit_id, deps in unit_deps.items():
-            for dep in deps:
-                dependents.setdefault(dep, []).append(unit_id)
-        ready = [unit_id for unit_id in range(len(units))
-                 if indegree.get(unit_id, 0) == 0]
         done_queue: "queue.SimpleQueue" = queue.SimpleQueue()
 
         def done(unit_id: int, outcome) -> None:
             done_queue.put((unit_id, outcome))
 
-        executor = make_executor(self.executor_name,
-                                 min(self.jobs, len(units)),
-                                 self.start_method)
-        node_pid: Dict[int, Optional[int]] = {}
-        inflight = 0
-        completed = 0
+        executor = InlineExecutor() if inline else \
+            PoolExecutor(min(self.jobs, len(units)), self.start_method)
+        limit = executor.max_inflight
+        submitted = inflight = 0
         try:
             executor.start()
-            limit = executor.max_inflight
-            while completed < len(units):
-                while ready and (limit is None or inflight < limit):
-                    unit_id = ready.pop(0)
+            for _ in units:
+                while submitted < len(units) and \
+                        (limit is None or inflight < limit):
+                    executor.submit(submitted, unit_fn,
+                                    [tasks[position]
+                                     for position in units[submitted]],
+                                    done)
+                    submitted += 1
                     inflight += 1
-                    executor.submit(unit_id, unit_fn,
-                                    unit_tasks[unit_id], done)
                 unit_id, outcome = done_queue.get()
                 inflight -= 1
-                completed += 1
                 if isinstance(outcome, BaseException):
                     # infrastructure failure (cell errors come back as
                     # structured rows, never exceptions): abort the sweep
                     raise outcome
-                for node_id, rows in zip(units[unit_id], outcome):
-                    node_rows[node_id] = rows
-                    pid = (rows[0].get("worker") or {}).get("pid") \
-                        if rows else None
-                    node_pid[node_id] = pid
-                    node = dag.nodes[node_id]
-                    if self.mode == "dag" and node.deps:
-                        root_pid = node_pid.get(node.deps[0])
-                        if None not in (pid, root_pid) \
-                                and pid != root_pid:
-                            # the replay was stolen by a worker other
-                            # than its benchmark's recorder — the trace
-                            # reached it through the disk spill
-                            self.steals += 1
+                for position, rows in zip(units[unit_id], outcome):
+                    task_rows[position] = rows
                     self._store_rows(rows)
                 flush()
-                for dependent in dependents.get(unit_id, ()):
-                    indegree[dependent] -= 1
-                    if indegree[dependent] == 0:
-                        ready.append(dependent)
-                ready.sort()
         finally:
             executor.close()
         return rows_out
@@ -313,13 +274,9 @@ class SweepScheduler:
         """Scheduling facts for reports and ``Session.last_sweep``."""
         info = {
             "executor": self.executor_name,
-            "mode": self.mode,
             "cells_scheduled": self.cells_scheduled,
             "cells_resumed_from_store": self.cells_resumed_from_store,
-            "dag_nodes": len(self.dag.nodes) if self.dag else 0,
-            "dag_edges": len(self.dag.edges) if self.dag else 0,
             "units": self.units,
-            "steals": self.steals,
         }
         if self.store is not None:
             info["store"] = self.store.stats()
@@ -338,6 +295,5 @@ class SweepScheduler:
         for name in _STAT_FIELDS:
             scope.counter(name).set(stats[name])
         scope.scope("executor").counter(self.executor_name).set(1)
-        scope.scope("mode").counter(self.mode).set(1)
         if self.store is not None:
             self.store.register_into(scope.scope("store"))

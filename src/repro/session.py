@@ -96,7 +96,7 @@ class Session:
             ResultStore(config.result_store_dir) \
             if config.result_store_dir else None
         #: Scheduling facts of the most recent ``run_cells`` sweep
-        #: (executor, mode, resumed/scheduled cell counts, steals).
+        #: (executor, resumed/scheduled cell counts, units).
         self.last_sweep: Optional[dict] = None
         self._last_scheduler: Optional[SweepScheduler] = None
 
@@ -353,7 +353,6 @@ class Session:
                   warmup: Optional[int] = None,
                   jobs: Optional[int] = None,
                   cache: bool = True,
-                  chunksize: Optional[int] = None,
                   outputs: str = "full",
                   merge: bool = False,
                   journal: Optional[str] = None,
@@ -368,8 +367,8 @@ class Session:
         SimulationResult.to_dict()`` — in the *input* order regardless of
         worker scheduling, so output is deterministic for any job count.
         ``jobs`` defaults to the session config (explicit argument wins);
-        pass cells benchmark-major and ``chunksize`` equal to the variant
-        count so each worker keeps per-benchmark trace-cache locality.
+        a pool sweep dispatches each benchmark's cells together, so a
+        worker keeps per-benchmark trace-cache locality.
         ``merge=True`` additionally folds every cell's registry into
         :attr:`registry`.
 
@@ -378,12 +377,11 @@ class Session:
         message, traceback) with ``payload=None``, and the remaining
         cells still run.  ``journal=PATH`` records the sweep as an
         append-only ``repro-journal-v1`` event stream (see
-        :mod:`repro.observe.journal`) — rows are consumed through an
-        ordered ``imap`` so events land as cells finish, not at the
-        barrier; ``progress`` is called with a live snapshot dict after
-        every row.  ``start_method`` (or ``REPRO_MP_START``) forces the
-        multiprocessing start method; the default prefers ``fork`` and
-        falls back to ``spawn``.
+        :mod:`repro.observe.journal`) — rows are recorded in plan order
+        as units finish, not at the barrier; ``progress`` is called with
+        a live snapshot dict after every row.  ``start_method`` (or
+        ``REPRO_MP_START``) forces the multiprocessing start method; the
+        default prefers ``fork`` and falls back to ``spawn``.
 
         ``order_from=PATH`` names a prior sweep's journal: cells are
         *executed* longest-wall-first (cells the journal has no timing
@@ -394,11 +392,11 @@ class Session:
         raises a :class:`~repro.sched.SweepPlanMismatchWarning` (and
         journals a ``plan_mismatch`` event) listing the unmatched cells.
 
-        Execution is compiled through :class:`~repro.sched.SweepScheduler`:
-        a record → replay dependency DAG dispatched over the executor
-        backend named by ``executor`` (argument > config ``executor``
-        knob; ``auto`` keeps the classic inline/pool split).  When the
-        session has a :attr:`result_store` and ``cache=True``, every
+        Execution is compiled through :class:`~repro.sched.SweepScheduler`
+        and dispatched over the executor backend named by ``executor``
+        (argument > config ``executor`` knob; ``auto`` keeps the classic
+        inline/pool split).  When the session has a
+        :attr:`result_store` and ``cache=True``, every
         landed cell is written through to the store and cells that
         already landed there — e.g. from a sweep killed partway — are
         resumed without re-execution (their journal rows carry
@@ -433,7 +431,7 @@ class Session:
             jobs_effective = min(jobs, len(cells)) if cells else jobs
             recorder = SweepRecorder(
                 journal, config=task_config, cells=cells,
-                jobs=jobs_effective, chunksize=chunksize, outputs=outputs,
+                jobs=jobs_effective, outputs=outputs,
                 sweep_id=uuid.uuid4().hex, profile=profile_mode,
                 start_method=start_method, progress=progress)
         meta = {
@@ -482,7 +480,7 @@ class Session:
             tasks, task_config, _run_unit,
             inline_fn=lambda unit: [_run_task_in(self, task)
                                     for task in unit],
-            jobs=jobs, chunksize=chunksize, executor=executor,
+            jobs=jobs, executor=executor,
             start_method=start_method, recorder=recorder,
             store=self.result_store if cache else None,
             outputs=outputs, mismatch=mismatch)
@@ -536,8 +534,7 @@ class Session:
         ``{"error": {...}}`` for a cell whose worker raised; error rows
         are skipped when merging registries, so one bad cell degrades
         exactly one matrix entry instead of aborting the sweep.  Cells
-        are laid out benchmark-major and chunked one benchmark per
-        worker dispatch.  ``merged=True`` additionally returns the
+        are laid out benchmark-major.  ``merged=True`` additionally returns the
         cross-cell :func:`merged_registry` as ``(matrix, registry)``.
         """
         variant_list = (list(variants) if variants is not None
@@ -549,7 +546,6 @@ class Session:
                  for variant in variant_list]
         rows = self.run_cells(cells, instructions=instructions,
                               warmup=warmup, jobs=jobs, cache=cache,
-                              chunksize=max(1, len(variant_list)),
                               outputs=outputs, journal=journal,
                               progress=progress, order_from=order_from,
                               executor=executor)
@@ -814,29 +810,17 @@ def _run_task_in(session: Session, task: Tuple) -> List[dict]:
     return [_run_cell_in(session, task)]
 
 
-def _run_cell(task: Tuple) -> dict:
-    """Worker entry: module-level so fork *and* spawn pools can pickle it.
-
-    The task's first element is the parent's ``RunConfig``; resolving it
-    through :func:`_session_for_config` gives spawn-start workers the
-    exact parent configuration (satellite of the layered-config work) and
-    fork-start workers their inherited warm session.
-    """
-    return _run_cell_in(_session_for_config(task[0]), task)
-
-
-def _run_task(task: Tuple) -> List[dict]:
-    """Worker entry for mixed scalar/batched sweeps (see ``_run_cell``)."""
-    return _run_task_in(_session_for_config(task[0]), task)
-
-
 def _run_unit(unit: List[Tuple]) -> List[List[dict]]:
     """Worker entry for a scheduler dispatch unit (a list of tasks).
 
     Returns one row list per task so the scheduler can map results back
-    to DAG nodes.  All tasks of a unit share one resolved session —
+    to plan positions.  All tasks of a unit share one resolved session —
     units are built benchmark-aligned exactly so this keeps trace-cache
-    locality inside a worker dispatch.
+    locality inside a worker dispatch.  The unit's first task carries
+    the parent's ``RunConfig``; resolving it through
+    :func:`_session_for_config` gives spawn-start workers the exact
+    parent configuration and fork-start workers their inherited warm
+    session.
     """
     session = _session_for_config(unit[0][0])
     return [_run_task_in(session, task) for task in unit]

@@ -320,7 +320,6 @@ def run_bench(benchmarks: Optional[List[str]] = None,
     rows = optimized_session.run_cells(cells, instructions=instructions,
                                        warmup=warmup, jobs=jobs,
                                        cache=False,
-                                       chunksize=max(1, len(variants)),
                                        journal=journal,
                                        progress=progress,
                                        executor=executor)

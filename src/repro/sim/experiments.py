@@ -18,16 +18,14 @@ Variant and component catalogues moved to decorator-based registries:
 * named variants — :mod:`repro.sim.variants` (``@register_variant``);
 * benchmarks — :mod:`repro.workloads.registry` (``@register_benchmark``).
 
-The historical views (``VARIANTS``, ``PREDICTOR_FACTORIES``,
-``CONFIG_FACTORIES``, ``PREDICTOR_ONLY_VARIANTS``, ``REGION_*``) remain
-importable as *live* module attributes computed from those registries.
+The historical views (``VARIANTS``, ``REGION_*``) remain importable as
+*live* module attributes computed from those registries and the config.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro import session as _session
 from repro.config import current_config
 from repro.session import (  # noqa: F401  (re-exported API)
     Session,
@@ -44,7 +42,6 @@ from repro.sim.variants import (  # noqa: F401  (re-exported API)
     variant_names,
     variants_view,
 )
-from repro.sim import variants as _variants
 
 
 def __getattr__(name: str):
@@ -58,14 +55,6 @@ def __getattr__(name: str):
         return current_config().result_cache_size
     if name == "VARIANTS":
         return variants_view()
-    if name == "PREDICTOR_FACTORIES":
-        from repro.predictors.registry import PREDICTORS
-        return PREDICTORS.as_dict()
-    if name == "CONFIG_FACTORIES":
-        from repro.core.config import UARCH_CONFIGS
-        return UARCH_CONFIGS.as_dict()
-    if name == "PREDICTOR_ONLY_VARIANTS":
-        return _variants.predictor_only_variants()
     if name == "_cache":
         return default_session().result_cache
     if name == "_trace_cache":
@@ -94,7 +83,6 @@ def run_cells(cells: Sequence[Tuple[str, str]],
               warmup: Optional[int] = None,
               jobs: Optional[int] = None,
               cache: bool = True,
-              chunksize: Optional[int] = None,
               outputs: str = "full",
               journal: Optional[str] = None,
               progress=None,
@@ -104,7 +92,7 @@ def run_cells(cells: Sequence[Tuple[str, str]],
     """Run cells in the default session (see :meth:`Session.run_cells`)."""
     return default_session().run_cells(
         cells, instructions=instructions, warmup=warmup, jobs=jobs,
-        cache=cache, chunksize=chunksize, outputs=outputs,
+        cache=cache, outputs=outputs,
         journal=journal, progress=progress, start_method=start_method,
         order_from=order_from, executor=executor)
 
@@ -144,11 +132,6 @@ def replay_mpki(benchmark: str, predictor, **kwargs):
 def run_batch(benchmark: str, variants: Sequence[str], **kwargs):
     """Batched MPKI replay in the default session (:meth:`Session.run_batch`)."""
     return default_session().run_batch(benchmark, variants, **kwargs)
-
-
-def _run_cell(task: Tuple) -> dict:
-    """Legacy alias for the worker entry point (moved to repro.session)."""
-    return _session._run_cell(task)
 
 
 def hard_branch_accuracy(result: SimulationResult, count: int = 32

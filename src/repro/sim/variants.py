@@ -151,9 +151,3 @@ def is_predictor_only(variant: str) -> bool:
     if variant.startswith("spec:"):
         return variant.endswith("+none")
     return variant in PREDICTORS and variant not in BR_VARIANTS
-
-
-def predictor_only_variants() -> frozenset:
-    """The predictor-only named-variant set (compat view)."""
-    return frozenset(name for name in PREDICTORS
-                     if name not in BR_VARIANTS)

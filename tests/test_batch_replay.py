@@ -5,8 +5,9 @@ The contract (DESIGN.md §6a.4): for any set of predictor-only lanes,
 grouping built on it — must produce results **bit-identical** to scalar
 :func:`~repro.sim.predictor_replay.replay_mpki` calls of the same cells:
 same MPKI, same per-PC breakdowns, same warmup semantics, same payload
-digests.  The pure-``array`` backend is the reference the numpy kernels
-are pinned against; both are pinned against the scalar path here.
+digests.  The lockstep engine (:func:`~repro.predictors.batched._lockstep`)
+is the reference the numpy kernels are pinned against; both are pinned
+against the scalar path here.
 """
 
 import json
@@ -18,7 +19,6 @@ from repro.cli import main as cli_main
 from repro.isa.program import ProgramBuilder
 from repro.observe.journal import read_journal
 from repro.predictors.batched import (
-    BACKEND_ENV,
     MIN_PERCEPTRON_LANES,
     _lockstep,
     replay_lanes,
@@ -28,7 +28,7 @@ from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.registry import PREDICTORS, make_predictor
 from repro.session import BATCH_REPLAY_ENV, Session, batch_replay_enabled
-from repro.sim import experiments
+from repro.sim import experiments, predictor_replay
 from repro.sim.bench import batch_replay_predictors, payload_digest
 from repro.sim.branch_events import (
     BranchColumns,
@@ -44,18 +44,24 @@ from repro.sim.predictor_replay import (
 from repro.sim.trace_cache import TraceCache, program_fingerprint
 from repro.workloads import suite
 
-try:
-    import numpy  # noqa: F401
-    BACKENDS = ["pure", "numpy"]
-except ImportError:  # CI's no-numpy leg
-    BACKENDS = ["pure"]
-
 REGION = dict(instructions=1_200, warmup=600)
 
 
-@pytest.fixture(params=BACKENDS)
+def lockstep_lanes(predictors, pcs, takens, split, min_lanes=None):
+    """``replay_lanes`` with every lane forced through lockstep."""
+    return _lockstep(predictors, pcs, takens, split)
+
+
+#: Lane engines under test: the pure-Python lockstep reference and the
+#: numpy kernels behind ``replay_lanes``.
+ENGINES = {"pure": lockstep_lanes, "numpy": replay_lanes}
+
+
+@pytest.fixture(params=list(ENGINES))
 def backend(request, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, request.param)
+    # batched replay looks its lane engine up on this module attribute
+    monkeypatch.setattr(predictor_replay, "replay_lanes",
+                        ENGINES[request.param])
     return request.param
 
 
@@ -121,8 +127,8 @@ class TestReplayLanesDifferential:
     def test_mixed_lanes_match_lockstep(self, backend):
         pcs, takens = synthetic_stream()
         factories = mixed_lane_factories()
-        batch = replay_lanes([make() for make in factories],
-                             pcs, takens, split=800)
+        batch = ENGINES[backend]([make() for make in factories],
+                                 pcs, takens, split=800)
         reference = _lockstep([make() for make in factories],
                               pcs, takens, split=800)
         assert batch == reference
@@ -136,7 +142,7 @@ class TestReplayLanesDifferential:
         for predictor in (trained, twin):
             for pc in range(0, 256, 4):
                 predictor.observe(pc, True)
-        batch = replay_lanes([trained], pcs, takens, split=100)
+        batch = ENGINES[backend]([trained], pcs, takens, split=100)
         reference = _lockstep([twin], pcs, takens, split=100)
         assert batch == reference
 
@@ -146,15 +152,13 @@ class TestReplayLanesDifferential:
                 return not super().predict(pc)
 
         pcs, takens = synthetic_stream(events=1_000)
-        batch = replay_lanes(
+        batch = ENGINES[backend](
             [Contrarian(size_log2=6, history_bits=6)], pcs, takens, 200)
         reference = _lockstep(
             [Contrarian(size_log2=6, history_bits=6)], pcs, takens, 200)
         assert batch == reference
 
     def test_equivalent_lanes_share_result_object(self):
-        if "numpy" not in BACKENDS:
-            pytest.skip("numpy kernels not available")
         # two gshare geometries inducing the same event partition must be
         # deduped to one scan and hand back the same list object
         pcs = [0x400] * 600  # one static PC: partition is history-only
@@ -170,7 +174,7 @@ class TestReplayLanesDifferential:
         assert batch == reference
 
     def test_empty_stream(self, backend):
-        assert replay_lanes([BimodalPredictor()], [], [], 0) == [[]]
+        assert ENGINES[backend]([BimodalPredictor()], [], [], 0) == [[]]
 
 
 class TestBatchIdentity:

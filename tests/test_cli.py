@@ -51,7 +51,6 @@ class TestListCommand:
         ("predictors", "tage64"),
         ("configs", "mini"),
         ("variants", "mtage+big"),
-        ("executors", "pool"),
     ])
     def test_kinds(self, kind, expected, capsys):
         assert cli_main(["list", "--kind", kind]) == 0
@@ -72,7 +71,7 @@ class TestListCommand:
         assert cli_main(["list", "--kind", "all"]) == 0
         out = capsys.readouterr().out
         for section in ("[benchmarks]", "[predictors]", "[configs]",
-                        "[variants]", "[executors]"):
+                        "[variants]"):
             assert section in out
 
 
@@ -214,7 +213,8 @@ class TestCompareMpkiOnly:
 
 
 class TestBenchBaselineFlag:
-    def test_warn_only_against_committed_report(self, tmp_path, capsys):
+    def test_warn_only_against_committed_report(self, tmp_path, capsys,
+                                                shared_bench_passes):
         out = tmp_path / "BENCH_run.json"
         code = cli_main(["bench", "--quick", "--benchmarks", "sjeng_06",
                          "--instructions", "800", "--warmup", "400",
@@ -230,7 +230,8 @@ class TestBenchBaselineFlag:
         captured = capsys.readouterr()
         assert "trace-cache hit rate" in captured.out
 
-    def test_unreadable_baseline_is_a_warning(self, tmp_path, capsys):
+    def test_unreadable_baseline_is_a_warning(self, tmp_path, capsys,
+                                              shared_bench_passes):
         out = tmp_path / "BENCH_run.json"
         code = cli_main(["bench", "--quick", "--benchmarks", "sjeng_06",
                          "--instructions", "800", "--warmup", "400",
@@ -329,7 +330,8 @@ class TestJournaledSweeps:
         assert cli_main(["sweep", "report", str(path)]) == 2
         assert "not a repro-journal-v1" in capsys.readouterr().err
 
-    def test_bench_journal_and_progress(self, tmp_path, capsys):
+    def test_bench_journal_and_progress(self, tmp_path, capsys,
+                                        shared_bench_passes):
         from repro.observe.journal import read_journal
         out = tmp_path / "BENCH_run.json"
         path = tmp_path / "bench.jsonl"

@@ -40,8 +40,7 @@ class TestRunCells:
     def test_parallel_equals_serial(self):
         serial = experiments.run_cells(self.CELLS, jobs=1, **REGION)
         experiments.clear_caches()
-        parallel = experiments.run_cells(self.CELLS, jobs=2, chunksize=2,
-                                         **REGION)
+        parallel = experiments.run_cells(self.CELLS, jobs=2, **REGION)
         assert [(r["benchmark"], r["variant"]) for r in parallel] == \
             self.CELLS
         for left, right in zip(serial, parallel):
@@ -123,10 +122,10 @@ class TestBenchHarness:
         assert first["stats"]["host"] != second["stats"]["host"]
         assert bench.payload_digest(first) == bench.payload_digest(second)
 
-    def test_run_bench_report_schema_and_drift(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64", "mini"], jobs=1,
-                                 **REGION)
+    def test_run_bench_report_schema_and_drift(self, bench_report):
+        report = bench_report(benchmarks=["sjeng_06"],
+                              variants=["tage64", "mini"], jobs=1,
+                              **REGION)
         assert report["schema"] == bench.SCHEMA
         assert report["cells"] == 2
         assert report["drift"] == {"ok": True, "mismatched_cells": []}
@@ -137,17 +136,17 @@ class TestBenchHarness:
         assert report["optimized"]["uops_per_second"] > 0
         assert "timing" in report["baseline"]["host_phase_seconds"]
 
-    def test_quick_matrix_defaults(self):
-        report = bench.run_bench(quick=True, instructions=800, warmup=400,
-                                 jobs=1)
+    def test_quick_matrix_defaults(self, bench_report):
+        report = bench_report(quick=True, instructions=800, warmup=400,
+                              jobs=1)
         assert report["quick"] is True
         assert report["benchmarks"] == bench.QUICK_BENCHMARKS
         assert report["variants"] == bench.QUICK_VARIANTS
         assert report["drift"]["ok"]
 
-    def test_format_report_mentions_drift(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64"], jobs=1, **REGION)
+    def test_format_report_mentions_drift(self, bench_report):
+        report = bench_report(benchmarks=["sjeng_06"],
+                              variants=["tage64"], jobs=1, **REGION)
         text = bench.format_report(report)
         assert "speedup" in text and "drift" in text
         report["drift"] = {"ok": False, "mismatched_cells": ["x/y"]}
@@ -155,10 +154,10 @@ class TestBenchHarness:
 
 
 class TestBenchV2:
-    def test_mpki_replay_pass_reported(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64", "mini"], jobs=1,
-                                 **REGION)
+    def test_mpki_replay_pass_reported(self, bench_report):
+        report = bench_report(benchmarks=["sjeng_06"],
+                              variants=["tage64", "mini"], jobs=1,
+                              **REGION)
         replay = report["mpki_replay"]
         assert replay["cells"] == 1  # only tage64 is predictor-only
         assert replay["wall_seconds"] > 0
@@ -166,16 +165,16 @@ class TestBenchV2:
         assert report["drift"]["ok"]  # includes the exact-MPKI gate
         assert "mpki-only" in bench.format_report(report)
 
-    def test_no_predictor_only_cells_skips_replay_pass(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["mini"], jobs=1, **REGION)
+    def test_no_predictor_only_cells_skips_replay_pass(self, bench_report):
+        report = bench_report(benchmarks=["sjeng_06"],
+                              variants=["mini"], jobs=1, **REGION)
         assert report["mpki_replay"] is None
         assert "mpki-only" not in bench.format_report(report)
 
-    def test_hit_rate_on_summary_line(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64", "mini"], jobs=1,
-                                 **REGION)
+    def test_hit_rate_on_summary_line(self, bench_report):
+        report = bench_report(benchmarks=["sjeng_06"],
+                              variants=["tage64", "mini"], jobs=1,
+                              **REGION)
         assert report["optimized"]["trace_cache_hit_rate"] == 0.5
         first_line = bench.format_report(report).splitlines()[0]
         assert "trace-cache hit rate 50%" in first_line
@@ -189,15 +188,16 @@ class TestBenchV2:
         monkeypatch.delenv("REPRO_JOBS")
         assert bench.resolve_jobs(None) == 1
 
-    def test_quick_honours_repro_jobs_serial(self, monkeypatch):
+    def test_quick_honours_repro_jobs_serial(self, monkeypatch,
+                                             shared_bench_passes):
         monkeypatch.setenv("REPRO_JOBS", "1")
         report = bench.run_bench(quick=True, benchmarks=["sjeng_06"],
                                  instructions=800, warmup=400)
         assert report["jobs"] == 1
 
-    def test_compare_to_baseline_warns_on_regression(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64"], jobs=1, **REGION)
+    def test_compare_to_baseline_warns_on_regression(self, bench_report):
+        report = bench_report(benchmarks=["sjeng_06"],
+                              variants=["tage64"], jobs=1, **REGION)
         assert bench.compare_to_baseline(report, report) == []
         inflated = json.loads(json.dumps(report))
         inflated["baseline"]["uops_per_second"] *= 10
@@ -205,7 +205,7 @@ class TestBenchV2:
         assert len(warnings) == 1
         assert "below the committed baseline" in warnings[0]
 
-    def test_compare_to_baseline_tolerates_old_schema(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64"], jobs=1, **REGION)
+    def test_compare_to_baseline_tolerates_old_schema(self, bench_report):
+        report = bench_report(benchmarks=["sjeng_06"],
+                              variants=["tage64"], jobs=1, **REGION)
         assert bench.compare_to_baseline(report, {"schema": "v0"}) == []

@@ -73,10 +73,8 @@ class TestJournalRoundtrip:
     def test_parallel_journal_is_deterministically_merged(self, tmp_path):
         serial_path = tmp_path / "serial.jsonl"
         parallel_path = tmp_path / "parallel.jsonl"
-        quick_session().run_cells(CELLS, jobs=1, chunksize=2,
-                                  journal=str(serial_path))
-        quick_session().run_cells(CELLS, jobs=2, chunksize=2,
-                                  journal=str(parallel_path))
+        quick_session().run_cells(CELLS, jobs=1, journal=str(serial_path))
+        quick_session().run_cells(CELLS, jobs=2, journal=str(parallel_path))
 
         def cell_facts(path):
             return [(e["index"], e["benchmark"], e["variant"],
@@ -94,8 +92,7 @@ class TestJournalRoundtrip:
 
     def test_worker_streams_have_contiguous_seq(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        quick_session().run_cells(CELLS, jobs=2, chunksize=2,
-                                  journal=str(path))
+        quick_session().run_cells(CELLS, jobs=2, journal=str(path))
         streams = {}
         for event in events_of(path):
             streams.setdefault(event["stream"], []).append(event["seq"])
@@ -104,8 +101,7 @@ class TestJournalRoundtrip:
 
     def test_worker_manifests_recorded_per_worker(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        quick_session().run_cells(CELLS, jobs=2, chunksize=2,
-                                  journal=str(path))
+        quick_session().run_cells(CELLS, jobs=2, journal=str(path))
         started = [event for event in events_of(path)
                    if event["event"] == "worker_started"]
         assert len(started) == 2

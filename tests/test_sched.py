@@ -1,8 +1,8 @@
-"""Tests for the dependency-aware sweep scheduler (``repro.sched``).
+"""Tests for the sweep scheduler (``repro.sched``).
 
-Covers the DAG build (record → replay edges), dispatch-unit construction
-per executor mode, the pluggable executor registry, store-backed sweep
-resume (only cells with no landed result execute; merged rows and
+Covers benchmark-aligned dispatch-unit construction, executor-name
+resolution, pool sweeps spreading a ``compare --predictors`` matrix over
+workers, store-backed sweep resume (only cells with no landed result execute; merged rows and
 registries stay bit-identical to an uninterrupted run), the
 ``host.scheduler.*`` stat surface, the ``order_from`` plan-mismatch
 warning, and the ``repro sweep report`` / ``resume`` exit-code contract.
@@ -27,16 +27,16 @@ from repro.observe.sweep_report import (
 )
 from repro.registry import UnknownComponentError
 from repro.sched import (
+    EXECUTOR_CHOICES,
     ResultStore,
     SweepPlanMismatchWarning,
-    build_dag,
     build_units,
-    executor_names,
     resolve_executor_name,
     result_key,
     store_outputs_mode,
 )
 from repro.session import Session, merged_registry
+from repro.sim import experiments
 from repro.sim.bench import payload_digest
 
 REGION = dict(instructions=800, warmup=400)
@@ -72,8 +72,7 @@ def host_stripped(registry):
 
 class TestExecutorRegistry:
     def test_builtin_backends_registered(self):
-        assert executor_names()[:1] == ["auto"]
-        assert {"inline", "pool"} <= set(executor_names())
+        assert EXECUTOR_CHOICES == ("auto", "inline", "pool")
 
     def test_auto_keeps_classic_split(self):
         assert resolve_executor_name("auto", 1, 10) == "inline"
@@ -90,103 +89,45 @@ class TestExecutorRegistry:
             resolve_executor_name("pol", 2, 10)
 
 
-class TestBuildDag:
-    def test_first_task_per_benchmark_is_record_root(self):
-        tasks = [scalar_task(0, "sjeng_06", "bimodal"),
-                 scalar_task(1, "sjeng_06", "gshare"),
-                 scalar_task(2, "mcf_06", "bimodal"),
-                 scalar_task(3, "mcf_06", "gshare")]
-        dag = build_dag(tasks)
-        assert [node.kind for node in dag.nodes] == \
-            ["record", "replay", "record", "replay"]
-        assert dag.edges == [(0, 1), (2, 3)]
-        assert dag.edge_cells == [(0, 1), (2, 3)]
-
-    def test_edges_follow_plan_order_not_input_order(self):
-        # after an order_from reorder the *first scheduled* task records
-        tasks = [scalar_task(3, "mcf_06", "gshare"),
-                 scalar_task(2, "mcf_06", "bimodal")]
-        dag = build_dag(tasks)
-        assert dag.nodes[0].kind == "record"
-        assert dag.edge_cells == [(3, 2)]
-
-    def test_batch_group_is_single_node(self):
-        tasks = [batch_task([("bimodal", 0), ("gshare", 1)], "sjeng_06"),
-                 scalar_task(2, "sjeng_06", "mini")]
-        dag = build_dag(tasks)
-        assert dag.nodes[0].kind == "record"
-        assert dag.nodes[0].cells == [(0, "sjeng_06", "bimodal"),
-                                      (1, "sjeng_06", "gshare")]
-        assert dag.nodes[1].kind == "replay"
-        assert dag.edge_cells == [(0, 2)]
-
-    def test_batch_dependent_kind(self):
-        tasks = [scalar_task(0, "sjeng_06", "mini"),
-                 batch_task([("bimodal", 1), ("gshare", 2)], "sjeng_06")]
-        dag = build_dag(tasks)
-        assert dag.nodes[1].kind == "batch"
-
-
 class TestBuildUnits:
-    def _dag(self, benchmarks=2, variants=3):
-        tasks = [scalar_task(b * variants + v, f"bench_{b}", f"var_{v}")
-                 for b in range(benchmarks) for v in range(variants)]
-        return build_dag(tasks)
+    def _tasks(self, benchmarks=2, variants=3):
+        return [scalar_task(b * variants + v, f"bench_{b}", f"var_{v}")
+                for b in range(benchmarks) for v in range(variants)]
 
     def test_serial_mode_one_node_per_unit_no_deps(self):
-        dag = self._dag()
-        units, deps = build_units(dag, dag.nodes, "serial", 1, None)
-        assert units == [[n.id] for n in dag.nodes]
-        assert deps == {}
-
-    def test_dag_mode_enforces_record_edges(self):
-        dag = self._dag(benchmarks=2, variants=2)
-        units, deps = build_units(dag, dag.nodes, "dag", 2, None)
-        assert units == [[0], [1], [2], [3]]
-        assert deps == {1: [0], 3: [2]}
-
-    def test_dag_mode_groups_dependents_per_benchmark(self):
-        # quick-matrix shape: records dispatch alone, each benchmark's
-        # replays ride in one grouped unit gated on its record — extra
-        # per-replay dispatches would cost a disk trace load each for no
-        # added parallelism at this matrix/jobs ratio
-        dag = self._dag(benchmarks=2, variants=3)
-        units, deps = build_units(dag, dag.nodes, "dag", 4, None)
-        assert units == [[0], [1, 2], [3], [4, 5]]
-        assert deps == {1: [0], 3: [2]}
-
-    def test_dag_mode_splits_large_dependent_groups(self):
-        # a benchmark holding most of the matrix gets its replays split
-        # jobs-scaled so the tail spreads over idle workers
-        dag = self._dag(benchmarks=1, variants=10)
-        units, deps = build_units(dag, dag.nodes, "dag", 4, None)
-        assert units[0] == [0]
-        assert len(units) == 4
-        assert sorted(i for unit in units for i in unit) == list(range(10))
-        assert deps == {1: [0], 2: [0], 3: [0]}
-
-    def test_dag_mode_drops_edges_to_resumed_roots(self):
-        dag = self._dag(benchmarks=1, variants=2)
-        pending = [dag.nodes[1]]  # the record node already resumed
-        units, deps = build_units(dag, pending, "dag", 2, None)
-        assert units == [[1]]
-        assert deps == {}
-
-    def test_chunked_explicit_chunksize_is_flat_runner_chunks(self):
-        dag = self._dag(benchmarks=2, variants=3)
-        units, deps = build_units(dag, dag.nodes, "chunked", 4, 3)
-        assert units == [[0, 1, 2], [3, 4, 5]]
-        assert deps == {}
+        # an inline sweep dispatches one task per unit, so journal rows
+        # land as each cell finishes
+        sess = session()
+        sess.run_cells(CELLS)
+        assert sess.last_sweep["executor"] == "inline"
+        assert sess.last_sweep["units"] == len(CELLS)
 
     def test_chunked_default_splits_benchmark_aligned(self):
-        dag = self._dag(benchmarks=2, variants=4)
-        units, deps = build_units(dag, dag.nodes, "chunked", 4, None)
-        assert deps == {}
-        # every unit stays within one benchmark and covers all nodes
+        tasks = self._tasks(benchmarks=2, variants=4)
+        units = build_units(tasks, list(range(len(tasks))), 4)
+        # every unit stays within one benchmark and covers all tasks
         for unit in units:
-            assert len({dag.nodes[i].benchmark for i in unit}) == 1
+            assert len({tasks[i][1] for i in unit}) == 1
         assert sorted(i for unit in units for i in unit) == list(range(8))
         assert len(units) >= 4  # ~jobs-scaled concurrency
+
+    def test_one_unit_per_benchmark_when_jobs_do_not_need_more(self):
+        tasks = self._tasks(benchmarks=3, variants=2)
+        assert build_units(tasks, list(range(6)), 2) == \
+            [[0, 1], [2, 3], [4, 5]]
+
+    def test_batch_group_counts_as_one_task(self):
+        # a fused batch group is one task whatever its cell count: a
+        # benchmark holding one group cannot split further
+        tasks = [batch_task([("bimodal", 0), ("gshare", 1),
+                             ("tage64", 2), ("perceptron", 3)],
+                            "sjeng_06"),
+                 batch_task([("bimodal", 4), ("gshare", 5)], "mcf_06")]
+        assert build_units(tasks, [0, 1], 4) == [[0], [1]]
+
+    def test_resumed_tasks_are_left_out(self):
+        tasks = self._tasks(benchmarks=2, variants=2)
+        assert build_units(tasks, [1, 3], 2) == [[1], [3]]
 
 
 class TestSchedulerJournal:
@@ -196,25 +137,22 @@ class TestSchedulerJournal:
         events = read_journal(path)["events"]
         assert events[0]["executor"] == "inline"
         (dag_built,) = [e for e in events if e["event"] == "dag_built"]
-        assert dag_built["mode"] == "serial"
         assert dag_built["executor"] == "inline"
         assert dag_built["nodes"] == 4
-        # record → replay edges observable: one per benchmark
-        assert dag_built["edges"] == [[0, 1], [2, 3]]
+        assert dag_built["units"] == 4
         assert dag_built["stream"] == "scheduler"
 
-    def test_parallel_dag_mode_with_shared_trace_dir(self, tmp_path):
+    def test_pool_sweep_with_shared_trace_dir_matches_serial(self,
+                                                             tmp_path):
         trace_dir = tmp_path / "traces"
         path = str(tmp_path / "sweep.jsonl")
         sess = session(jobs=2, trace_cache_dir=str(trace_dir))
         rows = sess.run_cells(CELLS, jobs=2, journal=path)
         (dag_built,) = [e for e in read_journal(path)["events"]
                         if e["event"] == "dag_built"]
-        assert dag_built["mode"] == "dag"
         assert dag_built["executor"] == "pool"
-        assert dag_built["edges"] == [[0, 1], [2, 3]]
-        assert sess.last_sweep["steals"] >= 0
-        # dependency-aware execution must not change any result
+        assert dag_built["units"] == 2
+        # a trace spilled to the shared directory must not change results
         reference = session().run_cells(CELLS)
         assert [payload_digest(row["payload"]) for row in rows] == \
             [payload_digest(row["payload"]) for row in reference]
@@ -226,6 +164,38 @@ class TestSchedulerJournal:
             [payload_digest(row["payload"]) for row in serial]
 
 
+class TestComparePredictorsParallelism:
+    """``compare --predictors`` fuses each benchmark's predictors into one
+    batch task; the pool must still spread the benchmarks over workers."""
+
+    BENCHMARKS = ["sjeng_06", "mcf_06", "mcf_17"]
+    PREDICTORS = ["tage64", "gshare", "bimodal", "perceptron"]
+
+    def test_three_benchmarks_use_three_units_on_two_workers(
+            self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_INSTRUCTIONS", "6000")
+        monkeypatch.setenv("REPRO_WARMUP", "3000")
+        swept = []
+        run_cells = experiments.run_cells
+
+        def recording_run_cells(cells, **kwargs):
+            rows = run_cells(cells, **kwargs)
+            swept.append((experiments.default_session().last_sweep, rows))
+            return rows
+
+        monkeypatch.setattr(experiments, "run_cells", recording_run_cells)
+        assert cli_main(["compare", *self.BENCHMARKS,
+                         "--predictors", *self.PREDICTORS,
+                         "--jobs", "2", "--json"]) == 0
+        capsys.readouterr()
+        (stats, rows), = swept
+        assert len(rows) == len(self.BENCHMARKS) * len(self.PREDICTORS)
+        assert all(row["ok"] for row in rows)
+        assert stats["executor"] == "pool"
+        assert stats["units"] == len(self.BENCHMARKS)
+        assert len({row["worker"]["pid"] for row in rows}) == 2
+
+
 class TestHostSchedulerStats:
     def test_merge_publishes_scheduler_counters(self):
         sess = session()
@@ -233,12 +203,8 @@ class TestHostSchedulerStats:
         flat = sess.registry.to_flat_dict()
         assert flat["host.scheduler.cells_scheduled"] == len(CELLS)
         assert flat["host.scheduler.cells_resumed_from_store"] == 0
-        assert flat["host.scheduler.dag_nodes"] == 4
-        assert flat["host.scheduler.dag_edges"] == 2
         assert flat["host.scheduler.units"] == 4
-        assert flat["host.scheduler.steals"] == 0
         assert flat["host.scheduler.executor.inline"] == 1
-        assert flat["host.scheduler.mode.serial"] == 1
         # host-scoped on purpose: payload digests strip stats.host, so
         # the new counters never perturb a scalar-identical payload
         reference = session().run_cells(CELLS)

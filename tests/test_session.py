@@ -109,8 +109,8 @@ class TestRunCells:
                  ("mcf_06", "tage64"), ("mcf_06", "mini")]
         serial = Session(RunConfig(instructions=800, warmup=400))
         parallel = Session(RunConfig(instructions=800, warmup=400))
-        serial_rows = serial.run_cells(cells, jobs=1, chunksize=2)
-        parallel_rows = parallel.run_cells(cells, jobs=2, chunksize=2)
+        serial_rows = serial.run_cells(cells, jobs=1)
+        parallel_rows = parallel.run_cells(cells, jobs=2)
         assert [r["benchmark"] for r in parallel_rows] == \
             [c[0] for c in cells]
         for left, right in zip(serial_rows, parallel_rows):

@@ -29,7 +29,7 @@ import random
 import pytest
 
 from repro.predictors import tage_batch
-from repro.predictors.batched import BACKEND_ENV, _lockstep, replay_lanes
+from repro.predictors.batched import _lockstep, replay_lanes
 from repro.predictors.loop_predictor import LoopPredictor
 from repro.predictors.reference import (
     ReferenceLoopPredictor,
@@ -41,23 +41,21 @@ from repro.predictors.statistical_corrector import StatisticalCorrector
 from repro.predictors.tage import TageConfig, TagePredictor
 from repro.predictors.tage_scl import TageSCL
 
-try:
-    import numpy  # noqa: F401
-    BACKENDS = ["pure", "numpy"]
-    HAVE_NUMPY = True
-except ImportError:  # CI's no-numpy leg
-    BACKENDS = ["pure"]
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="columnar kernel needs numpy")
-
 SEEDS = [0, 1042]
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, request.param)
+def lockstep_lanes(predictors, pcs, takens, split, min_lanes=None):
+    """``replay_lanes`` with every lane forced through lockstep."""
+    return _lockstep(predictors, pcs, takens, split)
+
+
+#: Lane engines under test: the pure-Python lockstep reference and the
+#: numpy kernels behind ``replay_lanes``.
+ENGINES = {"pure": lockstep_lanes, "numpy": replay_lanes}
+
+
+@pytest.fixture(params=list(ENGINES))
+def backend(request):
     return request.param
 
 
@@ -128,9 +126,10 @@ def scl_lanes(cfg_builder):
 class TestTageBatchDifferential:
     """Batched lanes vs reference objects, one replay_lanes call per case."""
 
-    def run_case(self, lane_specs, pcs, takens, split, min_lanes=1):
-        batch = replay_lanes([packed() for packed, _ in lane_specs],
-                             pcs, takens, split, min_lanes=min_lanes)
+    def run_case(self, backend, lane_specs, pcs, takens, split,
+                 min_lanes=1):
+        batch = ENGINES[backend]([packed() for packed, _ in lane_specs],
+                                 pcs, takens, split, min_lanes=min_lanes)
         expected = reference_lanes([ref() for _, ref in lane_specs],
                                    pcs, takens, split)
         assert batch == expected
@@ -155,7 +154,7 @@ class TestTageBatchDifferential:
              lambda: ReferenceTagePredictor(tiny_cfg())),
         ]
         pcs, takens = loopy_stream(3_000, seed)
-        batch = self.run_case(specs, pcs, takens, split=500)
+        batch = self.run_case(backend, specs, pcs, takens, split=500)
         if backend == "numpy":
             # equivalent configurations replay once; the duplicate lane
             # hands back the very same mispredict-list object
@@ -170,7 +169,7 @@ class TestTageBatchDifferential:
                   lambda: ReferenceTagePredictor(cfg())),
                  scl_lanes(cfg)]
         pcs, takens = loopy_stream(4_000, seed)
-        self.run_case(specs, pcs, takens, split=700)
+        self.run_case(backend, specs, pcs, takens, split=700)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lfsr_allocation_ties(self, backend, seed):
@@ -185,7 +184,7 @@ class TestTageBatchDifferential:
                  (lambda: TagePredictor(cfg()),
                   lambda: ReferenceTagePredictor(cfg()))]
         pcs, takens = loopy_stream(2_500, seed, static_pcs=96)
-        self.run_case(specs, pcs, takens, split=300)
+        self.run_case(backend, specs, pcs, takens, split=300)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_newly_allocated_weak_providers(self, backend, seed):
@@ -197,7 +196,7 @@ class TestTageBatchDifferential:
                   lambda: ReferenceTagePredictor(cfg())),
                  scl_lanes(cfg)]
         pcs, takens = loopy_stream(3_000, seed, static_pcs=64)
-        self.run_case(specs, pcs, takens, split=400)
+        self.run_case(backend, specs, pcs, takens, split=400)
 
     @pytest.mark.parametrize("split_kind", ["none", "mid", "all"])
     def test_warmup_split_variants(self, backend, split_kind):
@@ -206,7 +205,7 @@ class TestTageBatchDifferential:
         specs = [(lambda: TagePredictor(tiny_cfg()),
                   lambda: ReferenceTagePredictor(tiny_cfg())),
                  scl_lanes(tiny_cfg)]
-        batch = self.run_case(specs, pcs, takens, split=split)
+        batch = self.run_case(backend, specs, pcs, takens, split=split)
         if split_kind == "all":  # warmup-truncated: nothing measured
             assert batch == [[], []]
 
@@ -216,12 +215,11 @@ class TestTageBatchDifferential:
         cfg = lambda: tiny_cfg(counter_bits=8)  # noqa: E731
         assert not tage_batch.supported(TagePredictor(cfg()))
         pcs, takens = loopy_stream(1_200, seed=3)
-        self.run_case([(lambda: TagePredictor(cfg()),
+        self.run_case(backend, [(lambda: TagePredictor(cfg()),
                         lambda: ReferenceTagePredictor(cfg()))],
                       pcs, takens, split=200)
 
 
-@needs_numpy
 class TestMinLanesCutover:
     """The batch_min_lanes knob: explicit param > config layers > default.
 
@@ -232,7 +230,6 @@ class TestMinLanesCutover:
     """
 
     def replay(self, monkeypatch, min_lanes, env=None):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
         if env is not None:
             monkeypatch.setenv("REPRO_BATCH_MIN_LANES", env)
         pcs, takens = loopy_stream(400, seed=11)

@@ -172,7 +172,8 @@ class TestTrendCli:
         assert cli_main(["trend"]) == 2
         assert "no BENCH_*.json" in capsys.readouterr().err
 
-    def test_real_bench_report_feeds_the_trend(self, tmp_path, capsys):
+    def test_real_bench_report_feeds_the_trend(self, tmp_path, capsys,
+                                               shared_bench_passes):
         """End to end: a fresh manifest-stamped run trends against a
         committed-style older report."""
         report = bench.run_bench(benchmarks=["sjeng_06"],
