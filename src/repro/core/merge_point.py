@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import BranchRunaheadConfig
-from repro.emulator.shadow import ShadowUop
 from repro.emulator.trace import DynamicUop
 from repro.isa.registers import reg_bit
 from repro.isa.uop import Uop
@@ -143,7 +142,7 @@ class MergePointPredictor:
     # -- training -------------------------------------------------------------
 
     def train_on_mispredict(self, record: DynamicUop,
-                            shadow_uops: List[ShadowUop]) -> None:
+                            shadow_uops: List[DynamicUop]) -> None:
         """Fill the WPB from the forward ROB walk of wrong-path uops.
 
         The walk stops early if a second dynamic instance of the branch is
@@ -160,20 +159,22 @@ class MergePointPredictor:
         for shadow in shadow_uops:
             if copied >= self.config.max_merge_distance:
                 break
-            if shadow.pc == record.pc:
+            pc = shadow.pc
+            if pc == record.pc:
                 break  # second instance: we are in a loop
-            if shadow.is_cond_branch and shadow.pc not in self._wp_branch_order:
-                self._wp_branch_order[shadow.pc] = copied
-            if shadow.pc not in self._wp_pc_order:
-                self._wp_pc_order[shadow.pc] = copied
+            op = shadow.uop
+            if op.is_cond_branch and pc not in self._wp_branch_order:
+                self._wp_branch_order[pc] = copied
+            if pc not in self._wp_pc_order:
+                self._wp_pc_order[pc] = copied
             # the entry's dest set covers uops strictly *before* it: a merge
             # instruction executes on both paths, so its own writes are not
             # divergent state
-            self.wpb.insert(shadow.pc, running_mask)
-            for dst in shadow.dst_regs:
+            self.wpb.insert(pc, running_mask)
+            for dst in op.dst_regs:
                 running_mask |= reg_bit(dst)
-            if shadow.store_addr >= 0:
-                self._wp_stores.add(shadow.store_addr)
+            if op.is_store and shadow.addr >= 0:
+                self._wp_stores.add(shadow.addr)
             copied += 1
         self.wpb.valid = copied > 0
         self._branch_pc = record.pc
@@ -261,7 +262,7 @@ class OracleMergeTracker:
         self.dynamic_predictions = 0
         self.static_predictions = 0
 
-    def start(self, record: DynamicUop, shadow_uops: List[ShadowUop],
+    def start(self, record: DynamicUop, shadow_uops: List[DynamicUop],
               static_prediction: int) -> None:
         self._wp_order = {}
         for order, shadow in enumerate(shadow_uops[:self.max_distance]):

@@ -14,34 +14,24 @@ from typing import List
 
 from repro.emulator.machine import execute_uop
 from repro.emulator.memory import Memory, OverlayMemory
+from repro.emulator.trace import DynamicUop
 from repro.isa import uop as U
 from repro.isa.program import Program
 
 
-class ShadowUop:
-    """A uop observed on the wrong path (what the WPB records)."""
-
-    __slots__ = ("pc", "dst_regs", "is_cond_branch", "taken", "store_addr")
-
-    def __init__(self, pc: int, dst_regs: tuple, is_cond_branch: bool,
-                 taken: bool, store_addr: int):
-        self.pc = pc
-        self.dst_regs = dst_regs
-        self.is_cond_branch = is_cond_branch
-        self.taken = taken
-        self.store_addr = store_addr
-
-
 def wrong_path_walk(program: Program, regs: List[int], memory: Memory,
                     branch_pc: int, wrong_taken: bool,
-                    max_uops: int) -> List[ShadowUop]:
+                    max_uops: int) -> List[DynamicUop]:
     """Execute the wrong direction of a branch for up to ``max_uops``.
 
     ``regs``/``memory`` are the architectural state *just before* the branch
     executes (CC already set, since CC is written by an older compare).
     ``wrong_taken`` is the direction the branch did NOT actually go.  Returns
-    the wrong-path uops in fetch order, starting with the first uop after the
-    branch.  The walk stops early at HALT or if it would leave the program.
+    the wrong-path records in fetch order, starting with the first uop after
+    the branch (``seq`` is left unstamped).  The walk stops early at HALT, if
+    it would leave the program, or before it re-fetches ``branch_pc``: every
+    consumer (merge-point training, the oracle) stops at a second instance
+    of the branch, so nothing past it is ever read.
     """
     branch_uop = program.uops[branch_pc]
     shadow_regs = list(regs)
@@ -52,11 +42,11 @@ def wrong_path_walk(program: Program, regs: List[int], memory: Memory,
     else:
         raise ValueError("wrong_path_walk requires a conditional branch")
 
-    observed: List[ShadowUop] = []
+    observed: List[DynamicUop] = []
     uops = program.uops
     program_len = len(uops)
     for _ in range(max_uops):
-        if not 0 <= pc < program_len:
+        if pc == branch_pc or not 0 <= pc < program_len:
             break
         op = uops[pc]
         if op.opcode == U.HALT:
@@ -66,12 +56,6 @@ def wrong_path_walk(program: Program, regs: List[int], memory: Memory,
             record = run(shadow_regs, shadow_memory)
         else:
             record = execute_uop(op, shadow_regs, shadow_memory)
-        observed.append(ShadowUop(
-            pc=pc,
-            dst_regs=op.dst_regs,
-            is_cond_branch=op.is_cond_branch,
-            taken=record.taken,
-            store_addr=record.addr if op.is_store else -1,
-        ))
+        observed.append(record)
         pc = record.next_pc
     return observed

@@ -36,6 +36,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
     Tuple
 
 from repro.config import RunConfig, current_config, resolve_jobs
+from repro.predictors.registry import make_predictor
 from repro.sched import (
     ResultStore,
     SweepPlanMismatchWarning,
@@ -324,7 +325,8 @@ class Session:
                 misses.append(position)
         if misses:
             program = suite.load(benchmark)
-            lanes = [variant_kwargs(variants[position])["predictor"]
+            lanes = [make_predictor(
+                         variant_kwargs(variants[position])["predictor"])
                      for position in misses]
             results = replay_mpki_batch(program, lanes,
                                         instructions=instructions,
@@ -738,7 +740,8 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
                 cached[index] = hit
                 continue
         try:
-            lanes.append((index, key, variant_kwargs(variant)["predictor"]))
+            lanes.append((index, key, make_predictor(
+                variant_kwargs(variant)["predictor"])))
         except Exception as exc:
             errors[index] = structured(exc)
     if lanes:

@@ -24,12 +24,43 @@ from repro.emulator.machine import Machine
 from repro.isa.program import Program
 from repro.memsys.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.predictors.base import BranchPredictor
-from repro.predictors.tage_scl import tage_scl_64kb
+from repro.predictors.registry import make_predictor
 from repro.sim.results import SimulationResult
 from repro.sim.trace_cache import TraceCache
 from repro.telemetry import Telemetry, Tracer
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import CoreModel
+
+
+class PredictionRecorder:
+    """Runs the baseline predictor and keeps every prediction it makes.
+
+    A plain object with the one method the core calls, so host profiles
+    that wrap ``BranchPredictor`` methods still count the real work.
+    """
+
+    __slots__ = ("_observe", "column")
+
+    def __init__(self, predictor: BranchPredictor):
+        self._observe = predictor.observe
+        self.column: list = []
+
+    def observe(self, pc: int, taken: bool) -> bool:
+        prediction = self._observe(pc, taken)
+        self.column.append(prediction)
+        return prediction
+
+
+class ColumnReader:
+    """Serves a recorded prediction column in branch order."""
+
+    __slots__ = ("_next",)
+
+    def __init__(self, column: list):
+        self._next = iter(column).__next__
+
+    def observe(self, pc: int, taken: bool) -> bool:
+        return self._next()
 
 
 def simulate(program: Program,
@@ -62,7 +93,13 @@ def simulate(program: Program,
     ``trace_cache`` memoizes the committed dynamic-uop stream: the first
     run of a ``(program, start, length)`` region records it (fast-forward
     included), subsequent runs replay it without re-emulating.  Replays are
-    bit-identical to live runs (see :mod:`repro.sim.trace_cache`).
+    bit-identical to live runs (see :mod:`repro.sim.trace_cache`).  A
+    predictor given by registry name (or the default ``"tage64"``) also
+    runs only once per region: its first complete run stores the
+    prediction column on the cached region, and later runs read it (their
+    result's ``predictor`` is then a fresh, untrained instance that only
+    names the predictor and its storage).  Predictor instances and
+    ``predictor_factory`` always run live.
     """
     if telemetry is None:
         telemetry = Telemetry(tracer=tracer)
@@ -70,12 +107,13 @@ def simulate(program: Program,
         telemetry.tracer = tracer
     timers = telemetry.timers
 
-    if predictor is None:
-        predictor = predictor_factory() if predictor_factory \
-            else tage_scl_64kb()
-    elif isinstance(predictor, str):
-        from repro.predictors.registry import make_predictor
-        predictor = make_predictor(predictor)
+    if predictor is None and predictor_factory is None:
+        predictor = "tage64"
+    predictor_name = predictor if isinstance(predictor, str) else None
+    if predictor_name is not None:
+        predictor = make_predictor(predictor_name)
+    elif predictor is None:
+        predictor = predictor_factory()
     if isinstance(br_config, str):
         br_config = UARCH_CONFIGS.get(br_config)()
     total = instructions + warmup
@@ -83,6 +121,14 @@ def simulate(program: Program,
     if trace_cache is not None:
         machine = trace_cache.replay(program, start_instruction, total)
     replaying = machine is not None
+    baseline = predictor
+    recorder = None
+    if trace_cache is not None and predictor_name is not None:
+        column = trace_cache.prediction_column(machine, predictor_name)
+        if column is not None:
+            baseline = ColumnReader(column)
+        else:
+            baseline = recorder = PredictionRecorder(predictor)
     with timers.phase("setup"):
         if machine is None:
             machine = Machine(program)
@@ -90,7 +136,7 @@ def simulate(program: Program,
                                     tracer=telemetry.tracer)
         core_config = core_config or CoreConfig()
         core = CoreModel(config=core_config, hierarchy=hierarchy,
-                         predictor=predictor, tracer=telemetry.tracer)
+                         predictor=baseline, tracer=telemetry.tracer)
         runahead = None
         if br_config is not None:
             runahead = BranchRunahead(
@@ -120,6 +166,10 @@ def simulate(program: Program,
         core_stats = core.run(stream, warmup=warmup,
                               initial_regs=machine.regs if start_instruction
                               else None)
+    if recorder is not None and not core_stats.warmup_truncated:
+        trace_cache.store_prediction_column(
+            program, start_instruction, total, predictor_name,
+            recorder.column)
     # the DCE self-times its cascades; surface it as a first-class phase
     # (a subset of "timing", which also contains "emulation")
     if runahead is not None:

@@ -20,6 +20,14 @@ its own replica as it yields, so any consumer reading
 replayed runs.  ``tests/test_trace_cache.py`` pins this invariant by
 comparing full ``SimulationResult.to_dict()`` payloads.
 
+**Prediction columns.**  The baseline predictor is looked up and trained
+on every committed conditional branch whatever else is attached — Branch
+Runahead only overrides its prediction at fetch and never feeds it — so
+its predictions are a pure function of the stream too.  ``simulate()``
+records them once per region and predictor registry name on
+:attr:`TraceEntry.predictions`; later runs of that region read the column
+instead of running the predictor again.
+
 The cache is LRU-bounded (``REPRO_TRACE_CACHE`` entries, default 32) and
 keyed by program *identity*: entries hold a strong reference to their
 program, which both keeps ``id(program)`` valid and means a rebuilt Program
@@ -141,7 +149,8 @@ class TraceEntry:
 
     __slots__ = ("program", "start", "total", "records", "pre_memory",
                  "start_regs", "start_pc", "start_seq",
-                 "final_pc", "final_seq", "halted", "branch_columns")
+                 "final_pc", "final_seq", "halted", "branch_columns",
+                 "predictions")
 
     def __init__(self, program: Program, start: int, total: int,
                  records: List[DynamicUop], pre_memory: Memory,
@@ -162,6 +171,11 @@ class TraceEntry:
         #: for the region (the MPKI-only replay path's working set); None
         #: until :meth:`TraceCache.branch_columns` extracts or loads them.
         self.branch_columns = None
+        #: Predictor registry name -> the baseline's prediction for every
+        #: conditional branch of the region, warmup included, in stream
+        #: order.  Memory-only: never spilled, so a reloaded entry starts
+        #: empty and the disk format is unchanged.
+        self.predictions = {}
 
     @property
     def branch_events(self):
@@ -189,7 +203,7 @@ class ReplayMachine:
     """
 
     def __init__(self, entry: TraceEntry):
-        self._entry = entry
+        self.entry = entry
         self.program = entry.program
         #: Private replica: replays are independent, so a half-consumed
         #: replay can never leak state into the next one.
@@ -205,7 +219,7 @@ class ReplayMachine:
         The entry was recorded for exactly this region length, so the limit
         only matters defensively; records keep their original ``seq``.
         """
-        entry = self._entry
+        entry = self.entry
         records = entry.records
         if max_instructions < len(records):
             records = records[:max_instructions]
@@ -275,6 +289,8 @@ class TraceCache:
         self.corrupt_entries = 0
         self.event_disk_hits = 0
         self.event_spills = 0
+        self.column_hits = 0
+        self.column_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -368,6 +384,29 @@ class TraceCache:
         if count:
             self.misses += 1
         return None
+
+    def prediction_column(self, machine: Optional[ReplayMachine],
+                          name: str) -> Optional[list]:
+        """Stored prediction column of predictor ``name``, or None.
+
+        ``machine`` is what :meth:`replay` returned for the region; a live
+        run (``None``) has no entry yet and always misses.  Counts a
+        column hit or miss, never a trace-cache probe.
+        """
+        column = machine.entry.predictions.get(name) \
+            if machine is not None else None
+        if column is None:
+            self.column_misses += 1
+        else:
+            self.column_hits += 1
+        return column
+
+    def store_prediction_column(self, program: Program, start: int,
+                                total: int, name: str, column: list) -> None:
+        """Attach a completed run's prediction column to its region."""
+        entry = self.lookup(program, start, total, count=False)
+        if entry is not None:
+            entry.predictions[name] = column
 
     def _memo_columns(self, key: Tuple[int, int, int], program: Program,
                       columns: BranchColumns) -> None:
@@ -547,6 +586,10 @@ class TraceCache:
         scope.counter("misses").set(self.misses)
         scope.counter("evictions").set(self.evictions)
         scope.gauge("entries").set(len(self._entries))
+        scope.gauge("prediction_columns").set(
+            sum(len(entry.predictions) for entry in self._entries.values()))
+        scope.counter("column_hits").set(self.column_hits)
+        scope.counter("column_misses").set(self.column_misses)
         if self.disk_dir is not None:
             scope.counter("disk_hits").set(self.disk_hits)
             scope.counter("disk_misses").set(self.disk_misses)

@@ -48,7 +48,7 @@ def register_variant(name: str, **meta: Any) -> Callable[..., Any]:
 
 def _kwargs(predictor: str = "tage64", config: str = None,
             **extra: Any) -> dict:
-    kwargs: dict = dict(predictor=PREDICTORS.get(predictor)())
+    kwargs: dict = dict(predictor=predictor)
     if config is not None:
         kwargs["br_config"] = UARCH_CONFIGS.get(config)()
     kwargs.update(extra)
@@ -132,17 +132,24 @@ def spec_variant(predictor: str, config: str = None) -> str:
 
 
 def variant_kwargs(variant: str) -> dict:
-    """Materialize ``simulate()`` kwargs for any variant token."""
+    """Materialize ``simulate()`` kwargs for any variant token.
+
+    The predictor is returned as its registry name, which ``simulate()``
+    and the MPKI replay paths resolve themselves; a name (not an instance)
+    is what lets ``simulate()`` share one recorded prediction column
+    across the variants of a region.
+    """
     if variant.startswith("spec:"):
         predictor, _, config = variant[5:].partition("+")
-        kwargs = dict(predictor=PREDICTORS.get(predictor)())
+        PREDICTORS.entry(predictor)  # raises with suggestions if unknown
+        kwargs = dict(predictor=predictor)
         if config and config != "none":
             kwargs["br_config"] = UARCH_CONFIGS.get(config)()
         return kwargs
     if variant in BR_VARIANTS:
         return BR_VARIANTS.get(variant)()
     if variant in PREDICTORS:
-        return dict(predictor=PREDICTORS.get(variant)())
+        return dict(predictor=variant)
     raise UnknownComponentError("variant", variant, variant_names())
 
 

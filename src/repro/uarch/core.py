@@ -71,6 +71,8 @@ class CoreModel:
         self.config = config or CoreConfig()
         self.hierarchy = hierarchy or MemoryHierarchy()
         self._l1_latency = self.hierarchy.config.l1_latency
+        #: Baseline predictor; the core only calls ``observe(pc, taken)``,
+        #: so any object with that method (a recorded column) may stand in.
         self.predictor = predictor
         self.runahead = runahead or RunaheadHooks()  # property: caches hooks
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -542,37 +544,29 @@ class CoreModel:
         stats.branch_counts[pc] += 1
         if taken:
             stats.taken_branches += 1
+        # the baseline is looked up and trained on every committed branch
+        # whatever the hooks do (they only override it at fetch), so one
+        # fused predict+update serves both modes
         predictor = self.predictor
+        if predictor is not None:
+            tage_pred = predictor.observe(pc, taken)
+        else:
+            tage_pred = taken  # perfect baseline when absent
+        if tage_pred != taken:
+            stats.baseline_mispredicts += 1
         if self._on_retire is None:
             # default no-op hooks: fetch_prediction would return
-            # (tage_pred, "tage"), so fuse predict+update and skip the call
-            if predictor is not None:
-                tage_pred = predictor.observe(pc, taken)
-            else:
-                tage_pred = taken  # perfect baseline when absent
-            source = "tage"
-            mispredicted = tage_pred != taken
-            if mispredicted:
-                stats.baseline_mispredicts += 1
-                stats.mispredicts += 1
-                stats.branch_mispredicts[pc] += 1
+            # (tage_pred, "tage"), so skip the call
+            final_pred, source = tage_pred, "tage"
         else:
-            if predictor is not None:
-                tage_pred = predictor.predict(pc)
-            else:
-                tage_pred = taken  # perfect baseline when absent
             final_pred, source = self._runahead.fetch_prediction(
                 pc, fetch_cycle, tage_pred)
             if source == "dce":
                 stats.dce_predictions_used += 1
-            mispredicted = final_pred != taken
-            if tage_pred != taken:
-                stats.baseline_mispredicts += 1
-            if predictor is not None:
-                predictor.update(pc, taken)
-            if mispredicted:
-                stats.mispredicts += 1
-                stats.branch_mispredicts[pc] += 1
+        mispredicted = final_pred != taken
+        if mispredicted:
+            stats.mispredicts += 1
+            stats.branch_mispredicts[pc] += 1
 
         # ---- dispatch / issue --------------------------------------------
         dispatch = fetch_cycle + cfg.frontend_depth

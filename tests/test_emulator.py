@@ -336,7 +336,7 @@ class TestShadowExecution:
         shadow = wrong_path_walk(program, list(machine.regs), machine.memory,
                                  branch_pc=3, wrong_taken=True, max_uops=10)
         store = shadow[0]
-        assert store.store_addr == buf
+        assert store.addr == buf
         assert machine.memory.read(buf) == 0  # real memory untouched
 
     def test_max_uops_respected(self):

@@ -62,7 +62,7 @@ class TestSpecVariants:
         token = experiments.spec_variant("tage80", "mini")
         assert token == "spec:tage80+mini"
         kwargs = experiments.variant_kwargs(token)
-        assert kwargs["predictor"].name
+        assert kwargs["predictor"] == "tage80"
         assert kwargs["br_config"] is not None
 
     def test_baseline_token_has_no_config(self):
