@@ -500,10 +500,11 @@ def _progress_callback(force: bool = False):
 def _compare_predictor_sweep(args, run_config, names) -> int:
     """``compare --predictors``: benchmarks x predictors MPKI sweep.
 
-    Every cell is predictor-only, so each benchmark's group collapses
-    into one batched replay over a single branch-stream pass (see
-    ``Session.run_batch``); the table prints one MPKI column per
-    predictor instead of the base/BR pair.
+    Every cell is predictor-only, so ``run_cells`` fuses each
+    benchmark's cells into one task that replays them together over a
+    single branch-stream pass (the batch path ``Session.run_batch``
+    shares); the table prints one MPKI column per predictor instead of
+    the base/BR pair.
     """
     predictors = list(dict.fromkeys(args.predictors))
     dropped = len(args.predictors) - len(predictors)

@@ -300,33 +300,23 @@ def run_recorded(recorder: Optional[SweepRecorder], index: int,
     """
     if recorder is None:
         return fn()
+    from repro.sched.plan import cell_row
     started_at = time.time()
     tick = time.perf_counter()
-    row = {"benchmark": benchmark, "variant": variant, "index": index,
-           "worker": {"pid": os.getpid(), "manifest": None},
-           "trace_cache_hit": False, "result_cache_hit": False}
-    if index == 0:
-        row["worker"]["manifest"] = run_manifest(recorder.config) \
-            if recorder.config is not None else None
+    manifest = run_manifest(recorder.config) \
+        if index == 0 and recorder.config is not None else None
     try:
         result = fn()
     except Exception as error:
-        import traceback
-        row["error"] = {"type": type(error).__name__,
-                        "message": str(error),
-                        "traceback": traceback.format_exc()}
-        row["payload"] = None
-        row["cell"] = {"started_at": started_at,
-                       "wall_seconds": time.perf_counter() - tick,
-                       "peak_rss_kb_delta": None}
-        recorder.record_row(row)
+        recorder.record_row(cell_row(
+            benchmark, variant, index, started_at=started_at,
+            wall_seconds=time.perf_counter() - tick, error=error,
+            manifest=manifest))
         raise
-    row["error"] = None
-    row["payload"] = result.to_dict()
-    row["cell"] = {"started_at": started_at,
-                   "wall_seconds": time.perf_counter() - tick,
-                   "peak_rss_kb_delta": None}
-    recorder.record_row(row)
+    recorder.record_row(cell_row(
+        benchmark, variant, index, started_at=started_at,
+        wall_seconds=time.perf_counter() - tick, payload=result.to_dict(),
+        manifest=manifest))
     return result
 
 

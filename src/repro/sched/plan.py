@@ -1,12 +1,19 @@
-"""Sweep plan ordering and dispatch-unit construction (``repro.sched.plan``).
+"""Sweep tasks, rows and dispatch units (``repro.sched.plan``).
 
-``run_cells`` compiles its cell plan into *tasks* (scalar cells plus
-fused batch-replay groups).  An inline sweep dispatches one task per
-unit, so journal rows land as each cell finishes.  A pool sweep groups
-the tasks with :func:`build_units` into benchmark-aligned units: each
-benchmark's tasks stay together, so a worker records the benchmark's
-trace once and replays it for the rest of the unit, and large groups
-split so the matrix keeps about ``jobs`` workers busy.
+``run_cells`` compiles its cell plan into :class:`Task` values: a
+benchmark plus its ``(index, variant)`` members.  A single cell is a
+one-member task; a fused batch-replay group has two or more members.
+The values every task of a sweep shares (its ``RunConfig``, result
+caching, outputs mode, flight-recorder metadata) travel once per
+dispatch unit as one :class:`TaskContext`.  Every sweep row — executed,
+fused, failed or resumed from the store — is built by :func:`cell_row`.
+
+An inline sweep dispatches one task per unit, so journal rows land as
+each cell finishes.  A pool sweep groups the tasks with
+:func:`build_units` into benchmark-aligned units: each benchmark's tasks
+stay together, so a worker records the benchmark's trace once and
+replays it for the rest of the unit, and large groups split so the
+matrix keeps about ``jobs`` workers busy.
 
 :func:`order_plan` is the ``order_from=`` scheduling hint.  It also
 reports a journal whose recorded cell plan differs from the requested
@@ -17,22 +24,100 @@ ignored.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+import traceback
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.config import RunConfig
 
 
 class SweepPlanMismatchWarning(UserWarning):
     """An ``order_from=`` journal's cell plan differs from the request."""
 
 
-def task_cells(task: Tuple) -> List[Tuple[int, str, str]]:
-    """The ``(cell_index, benchmark, variant)`` members of one task."""
-    benchmark = task[1]
-    if isinstance(task[2], tuple):  # fused batch group
-        return [(index, benchmark, variant) for variant, index in task[2]]
-    return [(task[7]["index"], benchmark, task[2])]
+@dataclass(frozen=True)
+class Task:
+    """One schedulable item: a benchmark and its ``(index, variant)`` cells.
+
+    ``index`` is the cell's position in the ``run_cells`` input; a task
+    with more than one member is a fused batch-replay group.
+    """
+
+    benchmark: str
+    members: Tuple[Tuple[int, str], ...]
+
+    @property
+    def fused(self) -> bool:
+        return len(self.members) > 1
 
 
-def build_units(tasks: List[Tuple], pending: List[int],
+@dataclass(frozen=True)
+class TaskContext:
+    """What every task of one sweep shares; pickled once per unit.
+
+    ``config`` is the sweep's ``RunConfig`` (its ``instructions`` and
+    ``warmup`` are the region every cell runs).  ``announce`` asks each
+    worker to ship its run manifest on its first row of sweep
+    ``sweep_id``; ``profile``/``profile_dir`` enable per-cell profiling.
+    """
+
+    config: RunConfig
+    cache: bool = True
+    outputs: str = "full"
+    sweep_id: Optional[str] = None
+    announce: bool = False
+    profile: Optional[str] = None
+    profile_dir: Optional[str] = None
+
+
+def cell_row(benchmark: str, variant: str, index: Optional[int], *,
+             started_at: float, wall_seconds: float = 0.0,
+             payload: Optional[dict] = None,
+             registry_state: Optional[dict] = None,
+             error: Optional[BaseException] = None,
+             trace_cache_hit: bool = False,
+             result_cache_hit: bool = False,
+             result_store_hit: bool = False,
+             peak_rss_kb_delta: Optional[int] = None,
+             batch_size: Optional[int] = None,
+             manifest: Optional[dict] = None) -> dict:
+    """The row dict one sweep cell lands as.
+
+    ``error`` is the exception a failed cell raised; the row carries it
+    as a picklable ``{type, message, traceback}`` dict with ``ok=False``.
+    ``result_store_hit`` appears only on rows resumed from the store and
+    ``cell.batch_size`` only on members of a fused group, so the rows
+    (and journals) of other cells keep their plain shape.
+    """
+    row = {
+        "benchmark": benchmark,
+        "variant": variant,
+        "index": index,
+        "ok": error is None,
+        "error": None if error is None else {
+            "type": type(error).__name__, "message": str(error),
+            "traceback": "".join(traceback.format_exception(
+                type(error), error, error.__traceback__))},
+        "payload": payload,
+        "registry_state": registry_state,
+        "trace_cache_hit": trace_cache_hit,
+        "result_cache_hit": result_cache_hit,
+    }
+    if result_store_hit:
+        row["result_store_hit"] = True
+    row["cell"] = {
+        "started_at": round(started_at, 6),
+        "wall_seconds": round(wall_seconds, 6),
+        "peak_rss_kb_delta": peak_rss_kb_delta,
+    }
+    if batch_size is not None:
+        row["cell"]["batch_size"] = batch_size
+    row["worker"] = {"pid": os.getpid(), "manifest": manifest}
+    return row
+
+
+def build_units(tasks: List[Task], pending: List[int],
                 jobs: int) -> List[List[int]]:
     """Group pending task positions into benchmark-aligned pool units.
 
@@ -44,7 +129,7 @@ def build_units(tasks: List[Tuple], pending: List[int],
     """
     groups: Dict[str, List[int]] = {}
     for position in pending:
-        groups.setdefault(tasks[position][1], []).append(position)
+        groups.setdefault(tasks[position].benchmark, []).append(position)
     total = len(pending)
     units = []
     for group in groups.values():

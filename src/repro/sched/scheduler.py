@@ -29,7 +29,7 @@ without dragging the session machinery in.
 
 from __future__ import annotations
 
-import os
+import functools
 import queue
 import time
 from typing import Callable, Dict, List, Optional
@@ -39,52 +39,41 @@ from repro.sched.executors import (
     PoolExecutor,
     resolve_executor_name,
 )
-from repro.sched.plan import build_units, task_cells
+from repro.sched.plan import Task, TaskContext, build_units, cell_row
 from repro.sched.store import ResultStore, result_key
-from repro.sim.variants import is_predictor_only
+from repro.sim.variants import cell_outputs_mode
 
 #: Scheduler counters published under ``host.scheduler.*`` (satellite:
 #: StatRegistry visibility without touching any scalar payload digest).
 _STAT_FIELDS = ("cells_scheduled", "cells_resumed_from_store", "units")
 
 
-def store_outputs_mode(outputs: str, variant: str) -> str:
-    """The outputs mode a cell's stored payload was produced under.
-
-    Mirrors the in-memory result-cache key: only predictor-only variants
-    actually take the MPKI fast path under ``outputs="mpki"`` — a BR
-    variant falls back to the full simulator and its payload is the
-    ``"full"`` shape.
-    """
-    if outputs == "mpki" and is_predictor_only(variant):
-        return "mpki"
-    return "full"
-
-
 class SweepScheduler:
     """One sweep's plan, store probe, and dispatch loop.
 
-    ``tasks`` is ``run_cells``'s compiled task list (scalar cells and
-    fused batch groups, already plan-ordered); ``worker_fn`` is the
-    picklable unit entry point (``repro.session._run_unit``) that maps a
-    list of tasks to a list of row lists.  ``store=None`` disables both
-    the resume probe and write-through (``cache=False`` sweeps, or no
+    ``tasks`` is ``run_cells``'s compiled task list (single cells and
+    fused batch groups, already plan-ordered) and ``context`` the values
+    they all share; ``worker_fn`` is the picklable unit entry point
+    (``repro.session._run_unit``) that maps ``(context, tasks)`` to one
+    row list per task.  ``store=None`` disables both the resume probe
+    and write-through (``cache=False`` sweeps, or no
     ``result_store_dir`` configured).
     """
 
-    def __init__(self, tasks: List[tuple], task_config,
-                 worker_fn: Callable[[List[tuple]], List[List[dict]]],
+    def __init__(self, tasks: List[Task], context: TaskContext,
+                 worker_fn: Callable[[TaskContext, List[Task]],
+                                     List[List[dict]]],
                  inline_fn: Optional[
-                     Callable[[List[tuple]], List[List[dict]]]] = None,
+                     Callable[[TaskContext, List[Task]],
+                              List[List[dict]]]] = None,
                  jobs: int = 1,
                  executor: Optional[str] = None,
                  start_method: Optional[str] = None,
                  recorder=None,
                  store: Optional[ResultStore] = None,
-                 outputs: str = "full",
                  mismatch: Optional[dict] = None):
         self.tasks = tasks
-        self.task_config = task_config
+        self.context = context
         self.worker_fn = worker_fn
         #: Unpicklable shortcut for the inline backend: runs units
         #: directly against the calling session (the classic serial
@@ -95,9 +84,8 @@ class SweepScheduler:
         self.start_method = start_method
         self.recorder = recorder
         self.store = store
-        self.outputs = outputs
         self.mismatch = mismatch
-        self.fingerprint = task_config.fingerprint()
+        self.fingerprint = context.config.fingerprint()
         self.executor_name: Optional[str] = None
         self.units = 0
         self.cells_scheduled = 0
@@ -106,12 +94,12 @@ class SweepScheduler:
     # -- store integration -------------------------------------------------
 
     def _cell_key(self, benchmark: str, variant: str) -> str:
+        config = self.context.config
         return result_key(self.fingerprint, benchmark, variant,
-                          self.task_config.instructions,
-                          self.task_config.warmup,
-                          store_outputs_mode(self.outputs, variant))
+                          config.instructions, config.warmup,
+                          cell_outputs_mode(self.context.outputs, variant))
 
-    def _probe_task(self, task: tuple,
+    def _probe_task(self, task: Task,
                     carry_manifest: bool) -> Optional[List[dict]]:
         """Synthesized rows for a fully-landed task, else None.
 
@@ -123,38 +111,25 @@ class SweepScheduler:
         vouch for the stream these rows land on.
         """
         records = []
-        for index, benchmark, variant in task_cells(task):
-            record = self.store.get(self._cell_key(benchmark, variant))
+        for _, variant in task.members:
+            record = self.store.get(self._cell_key(task.benchmark, variant))
             if record is None:
                 return None
-            records.append((index, benchmark, variant, record))
+            records.append(record)
         rows: List[dict] = []
-        for position, (index, benchmark, variant, record) in \
-                enumerate(records):
+        for position, ((index, variant), record) in \
+                enumerate(zip(task.members, records)):
             manifest = None
             if carry_manifest and position == 0 \
                     and self.recorder is not None \
                     and self.recorder.path is not None:
                 from repro.observe.manifest import run_manifest
-                manifest = run_manifest(self.task_config)
-            rows.append({
-                "benchmark": benchmark,
-                "variant": variant,
-                "index": index,
-                "ok": True,
-                "error": None,
-                "payload": record["payload"],
-                "registry_state": record["registry_state"],
-                "trace_cache_hit": False,
-                "result_cache_hit": False,
-                "result_store_hit": True,
-                "cell": {
-                    "started_at": round(time.time(), 6),
-                    "wall_seconds": 0.0,
-                    "peak_rss_kb_delta": None,
-                },
-                "worker": {"pid": os.getpid(), "manifest": manifest},
-            })
+                manifest = run_manifest(self.context.config)
+            rows.append(cell_row(
+                task.benchmark, variant, index, started_at=time.time(),
+                payload=record["payload"],
+                registry_state=record["registry_state"],
+                result_store_hit=True, manifest=manifest))
         return rows
 
     def _store_rows(self, rows: List[dict]) -> None:
@@ -185,11 +160,11 @@ class SweepScheduler:
                 if rows is not None:
                     task_rows[position] = rows
                     resumed_cells.extend(
-                        index for index, _, _ in task_cells(task))
+                        index for index, _ in task.members)
         pending = [position for position in range(len(tasks))
                    if position not in task_rows]
         self.cells_resumed_from_store = len(resumed_cells)
-        self.cells_scheduled = sum(len(task_cells(tasks[position]))
+        self.cells_scheduled = sum(len(tasks[position].members)
                                    for position in pending)
         self.executor_name = resolve_executor_name(
             self.executor_knob, self.jobs, len(pending))
@@ -232,8 +207,9 @@ class SweepScheduler:
         if not units:
             return rows_out
 
-        unit_fn = self.inline_fn if inline and self.inline_fn \
-            else self.worker_fn
+        unit_fn = functools.partial(
+            self.inline_fn if inline and self.inline_fn
+            else self.worker_fn, self.context)
         done_queue: "queue.SimpleQueue" = queue.SimpleQueue()
 
         def done(unit_id: int, outcome) -> None:

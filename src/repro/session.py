@@ -16,8 +16,9 @@ workers) takes effect on the next call instead of being frozen at import.
 Explicit sessions never re-resolve — their config is exactly what they
 were constructed with.
 
-Worker processes: each parallel task pickles the parent's ``RunConfig``;
-the worker resolves it to a session via :func:`_session_for_config`, so a
+Worker processes: each dispatch unit pickles the parent's ``RunConfig``
+once, in its :class:`~repro.sched.TaskContext`; the worker resolves it to
+a session via :func:`_session_for_config`, so a
 spawn-start worker reconstructs the *exact* parent configuration instead
 of re-deriving one from inherited environment variables, while a
 fork-start worker reuses the inherited warm session (trace cache
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import os
 import time
-import traceback as _traceback
 import uuid
 import warnings as _warnings
 from collections import OrderedDict
@@ -41,29 +41,33 @@ from repro.sched import (
     ResultStore,
     SweepPlanMismatchWarning,
     SweepScheduler,
+    Task,
+    TaskContext,
+    cell_row,
     describe_mismatch,
     order_plan,
 )
 from repro.sim.predictor_replay import replay_mpki, replay_mpki_batch
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
-from repro.sim.trace_cache import TraceCache
+from repro.sim.trace_cache import TraceCache, program_fingerprint
 from repro.sim.variants import (
-    is_predictor_only,
+    cell_outputs_mode,
     variant_kwargs,
     variant_names,
 )
 from repro.telemetry import StatRegistry
+from repro.telemetry.timers import peak_rss_kb
 from repro.workloads import suite
 
-#: Set to ``0``/``off``/``no``/``false`` to disable collapsing groups of
-#: predictor-only MPKI cells into one batched replay per benchmark.
-BATCH_REPLAY_ENV = "REPRO_BATCH_REPLAY"
 
-
-def batch_replay_enabled() -> bool:
-    value = (os.environ.get(BATCH_REPLAY_ENV) or "1").strip().lower()
-    return value not in ("0", "off", "no", "false")
+def _result_key(benchmark: str, variant: str, instructions: int,
+                warmup: int, mode: str,
+                br_overrides: Optional[dict] = None) -> Tuple:
+    """A cell's result-cache key, shared by scalar and batched runs."""
+    overrides = tuple(sorted(br_overrides.items())) if br_overrides \
+        else ()
+    return (benchmark, variant, instructions, warmup, overrides, mode)
 
 
 class Session:
@@ -186,12 +190,9 @@ class Session:
             raise ValueError(f"unknown outputs mode {outputs!r}")
         instructions = instructions or self.config.instructions
         warmup = warmup if warmup is not None else self.config.warmup
-        mpki_only = outputs == "mpki" and is_predictor_only(variant) \
-            and not br_overrides
-        override_key = tuple(sorted(br_overrides.items())) if br_overrides \
-            else ()
-        key = (benchmark, variant, instructions, warmup, override_key,
-               "mpki" if mpki_only else "full")
+        mode = cell_outputs_mode(outputs, variant, br_overrides)
+        key = _result_key(benchmark, variant, instructions, warmup, mode,
+                          br_overrides)
         if cache:
             cached = self._cache_get(key)
             if cached is not None:
@@ -211,7 +212,7 @@ class Session:
         program = suite.load(benchmark)
         region_cache = trace_cache if trace_cache is not None \
             else self.trace_cache
-        if mpki_only:
+        if mode == "mpki":
             result = replay_mpki(program, kwargs["predictor"],
                                  instructions=instructions, warmup=warmup,
                                  trace_cache=region_cache)
@@ -245,10 +246,10 @@ class Session:
         cache when every kwarg is a plain hashable value (registry-name
         strings, numbers), and computed fresh otherwise (component
         *instances* carry state the cache must not alias, and a
-        ``tracer`` must observe a live run).
+        ``tracer`` must observe a live run).  A ``Program`` is cached by
+        its content fingerprint, never by its name alone: two programs
+        that share a name do not share a result.
         """
-        name = benchmark if isinstance(benchmark, str) else \
-            getattr(benchmark, "name", None)
         program = suite.load(benchmark) if isinstance(benchmark, str) \
             else benchmark
         if kwargs.get("instructions") is None:
@@ -256,10 +257,12 @@ class Session:
         if kwargs.get("warmup") is None:
             kwargs["warmup"] = self.config.warmup
         key = None
-        if cache and name is not None and all(
+        if cache and all(
                 isinstance(value, (str, int, float, bool, type(None)))
                 for value in kwargs.values()):
-            key = (name, "simulate", tuple(sorted(kwargs.items())))
+            source = benchmark if isinstance(benchmark, str) \
+                else program_fingerprint(program)
+            key = (source, "simulate", tuple(sorted(kwargs.items())))
             cached = self._cache_get(key)
             if cached is not None:
                 return cached
@@ -298,46 +301,70 @@ class Session:
         """Run K predictor-only MPKI cells of one benchmark in one pass.
 
         Returns ``[(result, result_cache_hit), ...]`` in ``variants``
-        order.  Cached cells are served from the result cache under the
-        *same* keys the scalar path uses; the misses replay together via
-        :func:`~repro.sim.predictor_replay.replay_mpki_batch` and are
-        cached individually, so a later scalar ``run(...,
-        outputs="mpki")`` of any member hits.  Raises ``ValueError`` for
-        a variant that is not predictor-only — batched replay cannot
-        model Branch Runahead timing.
+        order (see :meth:`_replay_batch`).  Raises ``ValueError`` for a
+        variant that is not predictor-only — batched replay cannot model
+        Branch Runahead timing — and re-raises the first member's error.
         """
-        instructions = instructions or self.config.instructions
-        warmup = warmup if warmup is not None else self.config.warmup
         for variant in variants:
-            if not is_predictor_only(variant):
+            if cell_outputs_mode("mpki", variant) != "mpki":
                 raise ValueError(
                     f"variant {variant!r} is not predictor-only; "
                     f"batched MPKI replay cannot model it")
-        keys = [(benchmark, variant, instructions, warmup, (), "mpki")
+        outcomes = self._replay_batch(
+            benchmark, variants,
+            instructions or self.config.instructions,
+            warmup if warmup is not None else self.config.warmup, cache)
+        for _, _, error in outcomes:
+            if error is not None:
+                raise error
+        return [(result, hit) for result, hit, _ in outcomes]
+
+    def _replay_batch(self, benchmark: str, variants: Sequence[str],
+                      instructions: int, warmup: int, cache: bool
+                      ) -> List[Tuple[object, bool, Optional[Exception]]]:
+        """Predictor-only MPKI cells of one benchmark, replayed together.
+
+        Returns ``(result, result_cache_hit, error)`` per variant.  Cached
+        cells are served from the result cache under the *same* keys the
+        scalar path uses; the misses replay in one
+        :func:`~repro.sim.predictor_replay.replay_mpki_batch` call and are
+        cached individually, so a later scalar ``run(...,
+        outputs="mpki")`` of any member hits.  A member whose variant
+        fails to resolve carries its own error and the rest still replay;
+        a failure of the shared replay is every replayed member's error.
+        """
+        keys = [_result_key(benchmark, variant, instructions, warmup, "mpki")
                 for variant in variants]
-        out: List[Optional[Tuple[object, bool]]] = [None] * len(variants)
-        misses: List[int] = []
-        for position, key in enumerate(keys):
+        out: List[Tuple[object, bool, Optional[Exception]]] = []
+        lanes = []
+        for position, (variant, key) in enumerate(zip(variants, keys)):
             cached = self._cache_get(key) if cache else None
+            out.append((cached, cached is not None, None))
             if cached is not None:
-                out[position] = (cached, True)
-            else:
-                misses.append(position)
-        if misses:
-            program = suite.load(benchmark)
-            lanes = [make_predictor(
-                         variant_kwargs(variants[position])["predictor"])
-                     for position in misses]
-            results = replay_mpki_batch(program, lanes,
-                                        instructions=instructions,
-                                        warmup=warmup,
-                                        trace_cache=self.trace_cache,
-                                        min_lanes=self.config.batch_min_lanes)
-            for position, result in zip(misses, results):
-                if cache:
-                    self._cache_put(keys[position], result)
-                out[position] = (result, False)
-        return out  # type: ignore[return-value]
+                continue
+            try:
+                lanes.append((position, make_predictor(
+                    variant_kwargs(variant)["predictor"])))
+            except Exception as exc:
+                out[position] = (None, False, exc)
+        if not lanes:
+            return out
+        try:
+            results = replay_mpki_batch(
+                suite.load(benchmark),
+                [predictor for _, predictor in lanes],
+                instructions=instructions, warmup=warmup,
+                trace_cache=self.trace_cache,
+                min_lanes=self.config.batch_min_lanes)
+        except Exception as exc:
+            for position, _ in lanes:
+                out[position] = (None, False, exc)
+            return out
+        for (position, _), result in zip(lanes, results):
+            if cache:
+                self._cache_put(keys[position], result)
+            out[position] = (result, False, None)
+        return out
 
     def manifest(self, phase_seconds=None) -> dict:
         """This session's run manifest (see :mod:`repro.observe.manifest`).
@@ -409,10 +436,9 @@ class Session:
         :func:`~repro.sim.predictor_replay.replay_mpki_batch` call (one
         region load, one stream pass for the whole group) while still
         producing one row per cell with scalar-identical payloads and
-        result-cache keys.  Set ``REPRO_BATCH_REPLAY=0`` to force the
-        scalar per-cell path; per-cell profiling (``REPRO_PROFILE``)
-        disables batching automatically since a fused group's cells
-        cannot be attributed individually.
+        result-cache keys.  Per-cell profiling (``REPRO_PROFILE``)
+        disables batching, since a fused group's cells cannot be
+        attributed individually.
         """
         instructions = instructions or self.config.instructions
         warmup = warmup if warmup is not None else self.config.warmup
@@ -436,14 +462,14 @@ class Session:
                 jobs=jobs_effective, outputs=outputs,
                 sweep_id=uuid.uuid4().hex, profile=profile_mode,
                 start_method=start_method, progress=progress)
-        meta = {
-            "sweep_id": recorder.sweep_id if recorder else None,
+        context = TaskContext(
+            config=task_config, cache=cache, outputs=outputs,
+            sweep_id=recorder.sweep_id if recorder else None,
             # worker manifests are only worth a git subprocess when a
             # journal will actually record them
-            "announce": journal is not None,
-            "profile": recorder.profile if recorder else None,
-            "profile_dir": recorder.profile_dir if recorder else None,
-        }
+            announce=journal is not None,
+            profile=recorder.profile if recorder else None,
+            profile_dir=recorder.profile_dir if recorder else None)
         plan = list(enumerate(cells))
         mismatch = None
         if order_from is not None:
@@ -452,40 +478,30 @@ class Session:
                 _warnings.warn(
                     SweepPlanMismatchWarning(describe_mismatch(mismatch)),
                     stacklevel=2)
-        batching = (outputs == "mpki" and len(cells) > 1
-                    and profile_mode is None and batch_replay_enabled())
-        groups: Dict[str, List[Tuple[str, int]]] = {}
-        if batching:
+        # two or more MPKI-mode cells of one benchmark fuse into one task
+        groups: Dict[str, List[Tuple[int, str]]] = {}
+        if len(cells) > 1 and profile_mode is None:
             for index, (benchmark, variant) in plan:
-                if is_predictor_only(variant):
+                if cell_outputs_mode(outputs, variant) == "mpki":
                     groups.setdefault(benchmark, []).append(
-                        (variant, index))
-            groups = {benchmark: members
-                      for benchmark, members in groups.items()
-                      if len(members) >= 2}
-        tasks: List[Tuple] = []
-        emitted: set = set()
+                        (index, variant))
+        tasks: List[Task] = []
         for index, (benchmark, variant) in plan:
-            members = groups.get(benchmark)
-            if members is None or not is_predictor_only(variant):
-                tasks.append((task_config, benchmark, variant,
-                              instructions, warmup, cache, outputs,
-                              {**meta, "index": index}))
-            elif benchmark not in emitted:
+            members = groups.get(benchmark, [])
+            if len(members) < 2 or (index, variant) not in members:
+                tasks.append(Task(benchmark, ((index, variant),)))
+            elif members[0][0] == index:
                 # the whole group runs at the position of its first
                 # member; rows are re-sorted to input order at the end
-                emitted.add(benchmark)
-                tasks.append((task_config, benchmark, tuple(members),
-                              instructions, warmup, cache, outputs,
-                              {**meta, "index": members[0][1]}))
+                tasks.append(Task(benchmark, tuple(members)))
         scheduler = SweepScheduler(
-            tasks, task_config, _run_unit,
-            inline_fn=lambda unit: [_run_task_in(self, task)
-                                    for task in unit],
+            tasks, context, _run_unit,
+            inline_fn=lambda context, unit: [
+                _run_task(self, context, task) for task in unit],
             jobs=jobs, executor=executor,
             start_method=start_method, recorder=recorder,
             store=self.result_store if cache else None,
-            outputs=outputs, mismatch=mismatch)
+            mismatch=mismatch)
         try:
             # publish this session so fork workers find it warm (and
             # spawn workers rebuild an equivalent one from the pickled
@@ -590,21 +606,6 @@ def _session_for_config(config: RunConfig) -> Session:
     return session
 
 
-def _peak_rss_kb() -> Optional[int]:
-    """Local peak-RSS probe (duplicated from repro.observe.manifest: this
-    module must stay importable without triggering the observe package,
-    which imports Session back)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return None
-    import sys
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - bytes on macOS
-        peak //= 1024
-    return int(peak)
-
-
 #: Sweep ids this *process* has already announced a worker manifest for.
 #: Fork workers inherit the parent's copy, which never contains their
 #: sweep's id (the parent records rows, it never computes them), so each
@@ -612,221 +613,116 @@ def _peak_rss_kb() -> Optional[int]:
 _announced_sweeps: set = set()
 
 
-def _run_cell_in(session: Session, task: Tuple) -> dict:
-    """Run one cell inside ``session`` and flatten it to a picklable dict.
+def _run_task(session: Session, context: TaskContext,
+              task: Task) -> List[dict]:
+    """Run one task inside ``session``; one picklable row per member.
 
-    ``registry_state`` carries the cell's full stat registry in the
-    kind-aware :meth:`~repro.telemetry.StatRegistry.to_state` form, so the
-    parent can :meth:`~repro.telemetry.StatRegistry.merge` registries from
-    all workers (see :func:`merged_registry`).  A raising cell is
-    converted into a structured error row (``ok=False``, ``payload=None``,
+    A single cell runs through :meth:`Session.run`; a fused group runs
+    through :meth:`Session._replay_batch`.  ``registry_state`` carries
+    each cell's full stat registry in the kind-aware
+    :meth:`~repro.telemetry.StatRegistry.to_state` form, so the parent
+    can :meth:`~repro.telemetry.StatRegistry.merge` registries from all
+    workers (see :func:`merged_registry`).  A raising cell becomes a
+    structured error row (``ok=False``, ``payload=None``,
     ``error={type, message, traceback}``) instead of propagating — one
     bad cell must not abort a pool of good ones.
 
-    The optional eighth task element is flight-recorder metadata
-    (``index``, ``sweep_id``, ``announce``, ``profile``/``profile_dir``):
-    cells measure their own wall seconds and peak-RSS delta, the first
-    cell per worker per sweep ships the worker's own
-    :func:`~repro.observe.manifest.run_manifest` back on the row, and
-    ``REPRO_PROFILE=cprofile`` dumps per-cell pstats beside the journal.
+    The task's wall time is split evenly across its members and the
+    peak-RSS delta (a process-wide measurement) lands on the first row
+    only.  The first task per worker per announced sweep ships the
+    worker's own :func:`~repro.observe.manifest.run_manifest` back on
+    its first row, and ``REPRO_PROFILE=cprofile`` dumps per-cell pstats
+    beside the journal (profiled sweeps never fuse cells).
     """
-    (_, benchmark, variant, instructions, warmup, use_result_cache,
-     outputs) = task[:7]
-    meta = task[7] if len(task) > 7 else {}
-    trace_cache = session.trace_cache
-    hits_before = trace_cache.hits
+    config = context.config
+    trace_hits_before = session.trace_cache.hits
     result_hits_before = session.result_cache_hits
-    rss_before = _peak_rss_kb()
+    rss_before = peak_rss_kb()
     started_at = time.time()
     tick = time.perf_counter()
     profiler = None
-    if meta.get("profile") == "cprofile" and meta.get("profile_dir"):
+    if context.profile == "cprofile" and context.profile_dir:
         import cProfile
         profiler = cProfile.Profile()
-    payload = registry_state = error = None
+        profiler.enable()
     try:
+        if task.fused:
+            outcomes = session._replay_batch(
+                task.benchmark, [variant for _, variant in task.members],
+                config.instructions, config.warmup, context.cache)
+        else:
+            try:
+                result = session.run(task.benchmark, task.members[0][1],
+                                     instructions=config.instructions,
+                                     warmup=config.warmup,
+                                     cache=context.cache,
+                                     outputs=context.outputs)
+                outcomes = [(result, session.result_cache_hits
+                             > result_hits_before, None)]
+            except Exception as exc:
+                outcomes = [(None, False, exc)]
+    finally:
         if profiler is not None:
-            profiler.enable()
-        try:
-            result = session.run(benchmark, variant,
-                                 instructions=instructions,
-                                 warmup=warmup, cache=use_result_cache,
-                                 outputs=outputs)
-        finally:
-            if profiler is not None:
-                profiler.disable()
-        payload = result.to_dict()
-        registry_state = result.build_registry().to_state()
-    except Exception as exc:
-        error = {"type": type(exc).__name__, "message": str(exc),
-                 "traceback": _traceback.format_exc()}
+            profiler.disable()
     wall = time.perf_counter() - tick
     if profiler is not None:
         try:
             profiler.dump_stats(os.path.join(
-                meta["profile_dir"],
-                f"cell-{meta.get('index', 0):04d}.pstats"))
+                context.profile_dir,
+                f"cell-{task.members[0][0]:04d}.pstats"))
         except OSError:  # profiling is best-effort forensics
             pass
-    rss_after = _peak_rss_kb()
-    worker: dict = {"pid": os.getpid(), "manifest": None}
-    sweep_id = meta.get("sweep_id")
-    if meta.get("announce") and sweep_id is not None \
-            and sweep_id not in _announced_sweeps:
-        _announced_sweeps.add(sweep_id)
+    rss_after = peak_rss_kb()
+    trace_hit = session.trace_cache.hits > trace_hits_before
+    manifest = None
+    if context.announce and context.sweep_id is not None \
+            and context.sweep_id not in _announced_sweeps:
+        _announced_sweeps.add(context.sweep_id)
         from repro.observe.manifest import run_manifest
-        # manifest the *task* config, not session.config: an adopted
+        # manifest the *sweep* config, not session.config: an adopted
         # parent session keeps its own base region lengths, but the
-        # sweep runs (and must be audited) under the task's config
-        worker["manifest"] = run_manifest(task[0])
-    return {
-        "benchmark": benchmark,
-        "variant": variant,
-        "index": meta.get("index"),
-        "ok": error is None,
-        "error": error,
-        "payload": payload,
-        "registry_state": registry_state,
-        "trace_cache_hit": trace_cache.hits > hits_before,
-        "result_cache_hit":
-            session.result_cache_hits > result_hits_before,
-        "cell": {
-            "started_at": round(started_at, 6),
-            "wall_seconds": round(wall, 6),
-            "peak_rss_kb_delta": (rss_after - rss_before
-                                  if rss_after is not None
-                                  and rss_before is not None else None),
-        },
-        "worker": worker,
-    }
-
-
-def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
-    """Run one batched group of predictor-only MPKI cells; one row each.
-
-    The task's variant slot holds ``((variant, index), ...)`` instead of
-    a single variant string.  Cached members are served under their
-    scalar result-cache keys; the misses replay together through
-    :func:`~repro.sim.predictor_replay.replay_mpki_batch` and are cached
-    individually.  Row shape mirrors :func:`_run_cell_in` member for
-    member — the batch's wall time is attributed evenly across members
-    (``cell.batch_size`` marks the fusion), the peak-RSS delta lands on
-    the first row only (it is a process-wide measurement), and a member
-    whose variant fails to resolve errors alone while a failure of the
-    shared replay errors every non-cached member.
-    """
-    (_, benchmark, members, instructions, warmup, use_result_cache,
-     outputs) = task[:7]
-    meta = task[7] if len(task) > 7 else {}
-    trace_cache = session.trace_cache
-    hits_before = trace_cache.hits
-    rss_before = _peak_rss_kb()
-    started_at = time.time()
-    tick = time.perf_counter()
-
-    def structured(exc: Exception) -> dict:
-        return {"type": type(exc).__name__, "message": str(exc),
-                "traceback": _traceback.format_exc()}
-
-    cached: Dict[int, object] = {}
-    computed: Dict[int, object] = {}
-    errors: Dict[int, dict] = {}
-    lanes: List[Tuple[int, Tuple, object]] = []
-    for variant, index in members:
-        key = (benchmark, variant, instructions, warmup, (), "mpki")
-        if use_result_cache:
-            hit = session._cache_get(key)
-            if hit is not None:
-                cached[index] = hit
-                continue
-        try:
-            lanes.append((index, key, make_predictor(
-                variant_kwargs(variant)["predictor"])))
-        except Exception as exc:
-            errors[index] = structured(exc)
-    if lanes:
-        try:
-            program = suite.load(benchmark)
-            results = replay_mpki_batch(
-                program, [predictor for _, _, predictor in lanes],
-                instructions=instructions, warmup=warmup,
-                trace_cache=trace_cache,
-                min_lanes=session.config.batch_min_lanes)
-        except Exception as exc:
-            error = structured(exc)
-            for index, _, _ in lanes:
-                errors[index] = error
-        else:
-            for (index, key, _), result in zip(lanes, results):
-                computed[index] = result
-                if use_result_cache:
-                    session._cache_put(key, result)
-    wall = time.perf_counter() - tick
-    rss_after = _peak_rss_kb()
-    rss_delta = (rss_after - rss_before if rss_after is not None
-                 and rss_before is not None else None)
-    share = round(wall / max(1, len(members)), 6)
-    group_hit = trace_cache.hits > hits_before
-    sweep_id = meta.get("sweep_id")
-    announce = (meta.get("announce") and sweep_id is not None
-                and sweep_id not in _announced_sweeps)
-    if announce:
-        _announced_sweeps.add(sweep_id)
+        # sweep runs (and must be audited) under the task config
+        manifest = run_manifest(config)
+    size = len(task.members)
     rows: List[dict] = []
-    for position, (variant, index) in enumerate(members):
-        error = errors.get(index)
-        result = cached.get(index) if index in cached \
-            else computed.get(index)
+    for position, ((index, variant), (result, hit, error)) in \
+            enumerate(zip(task.members, outcomes)):
         payload = registry_state = None
-        if error is None and result is not None:
-            payload = result.to_dict()
-            registry_state = result.build_registry().to_state()
-        worker: dict = {"pid": os.getpid(), "manifest": None}
-        if announce and position == 0:
-            from repro.observe.manifest import run_manifest
-            worker["manifest"] = run_manifest(task[0])
-        rows.append({
-            "benchmark": benchmark,
-            "variant": variant,
-            "index": index,
-            "ok": error is None,
-            "error": error,
-            "payload": payload,
-            "registry_state": registry_state,
-            "trace_cache_hit": group_hit and index not in cached,
-            "result_cache_hit": index in cached,
-            "cell": {
-                "started_at": round(started_at, 6),
-                "wall_seconds": share,
-                "peak_rss_kb_delta": rss_delta if position == 0 else None,
-                "batch_size": len(members),
-            },
-            "worker": worker,
-        })
+        if error is None:
+            try:
+                payload = result.to_dict()
+                registry_state = result.build_registry().to_state()
+            except Exception as exc:
+                payload = registry_state = None
+                error = exc
+        first = position == 0
+        rows.append(cell_row(
+            task.benchmark, variant, index,
+            started_at=started_at, wall_seconds=wall / size,
+            payload=payload, registry_state=registry_state,
+            error=error,
+            trace_cache_hit=trace_hit and not hit, result_cache_hit=hit,
+            peak_rss_kb_delta=(rss_after - rss_before
+                               if first and rss_after is not None
+                               and rss_before is not None else None),
+            batch_size=size if task.fused else None,
+            manifest=manifest if first else None))
     return rows
 
 
-def _run_task_in(session: Session, task: Tuple) -> List[dict]:
-    """Run one task — a single cell or a batched group — as row dicts."""
-    if isinstance(task[2], tuple):
-        return _run_batch_in(session, task)
-    return [_run_cell_in(session, task)]
-
-
-def _run_unit(unit: List[Tuple]) -> List[List[dict]]:
+def _run_unit(context: TaskContext, tasks: List[Task]) -> List[List[dict]]:
     """Worker entry for a scheduler dispatch unit (a list of tasks).
 
     Returns one row list per task so the scheduler can map results back
     to plan positions.  All tasks of a unit share one resolved session —
     units are built benchmark-aligned exactly so this keeps trace-cache
-    locality inside a worker dispatch.  The unit's first task carries
-    the parent's ``RunConfig``; resolving it through
-    :func:`_session_for_config` gives spawn-start workers the exact
-    parent configuration and fork-start workers their inherited warm
-    session.
+    locality inside a worker dispatch.  Resolving the context's
+    ``RunConfig`` through :func:`_session_for_config` gives spawn-start
+    workers the exact parent configuration and fork-start workers their
+    inherited warm session.
     """
-    session = _session_for_config(unit[0][0])
-    return [_run_task_in(session, task) for task in unit]
+    session = _session_for_config(context.config)
+    return [_run_task(session, context, task) for task in tasks]
 
 
 def merged_registry(rows: Iterable[dict]) -> StatRegistry:

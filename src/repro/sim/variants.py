@@ -25,7 +25,7 @@ list`` — no second registration.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import UARCH_CONFIGS
 from repro.predictors.registry import PREDICTORS
@@ -158,3 +158,20 @@ def is_predictor_only(variant: str) -> bool:
     if variant.startswith("spec:"):
         return variant.endswith("+none")
     return variant in PREDICTORS and variant not in BR_VARIANTS
+
+
+def cell_outputs_mode(outputs: str, variant: str,
+                      br_overrides: Optional[dict] = None) -> str:
+    """The outputs mode a cell's payload is produced under.
+
+    ``"mpki"`` only when MPKI-only outputs were asked for *and* the cell
+    can take the replay fast path: a predictor-only variant with no BR
+    overrides.  Everything else — a BR variant under ``outputs="mpki"``
+    included — runs the full simulator and yields the ``"full"`` payload
+    shape.  Result-cache keys, sweep batch grouping and result-store
+    keys all name a cell's mode through this one rule.
+    """
+    if outputs == "mpki" and is_predictor_only(variant) \
+            and not br_overrides:
+        return "mpki"
+    return "full"

@@ -20,7 +20,6 @@ import copy
 import pytest
 
 from repro.config import CONFIG_FILE_ENV, ENV_VARS
-from repro.session import BATCH_REPLAY_ENV
 from repro.sim import bench
 
 #: ``_scalar_vs_batch_pass`` results, keyed by their call arguments.
@@ -28,7 +27,7 @@ _BENCH_PASSES = {}
 
 
 def _strip_repro_env(monkeypatch):
-    for var in (*ENV_VARS.values(), CONFIG_FILE_ENV, BATCH_REPLAY_ENV):
+    for var in (*ENV_VARS.values(), CONFIG_FILE_ENV):
         monkeypatch.delenv(var, raising=False)
 
 

@@ -27,7 +27,7 @@ from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.registry import PREDICTORS, make_predictor
-from repro.session import BATCH_REPLAY_ENV, Session, batch_replay_enabled
+from repro.session import Session
 from repro.sim import experiments, predictor_replay
 from repro.sim.bench import batch_replay_predictors, payload_digest
 from repro.sim.branch_events import (
@@ -388,16 +388,14 @@ class TestSessionBatching:
              ("sjeng_06", "spec:tage64+none"), ("mcf_17", "bimodal"),
              ("mcf_17", "gshare")]
 
-    def test_rows_identical_to_scalar_path(self, monkeypatch):
+    def test_rows_identical_to_scalar_path(self):
         batched = session().run_cells(self.CELLS, outputs="mpki")
-        monkeypatch.setenv(BATCH_REPLAY_ENV, "0")
-        assert not batch_replay_enabled()
-        scalar = session().run_cells(self.CELLS, outputs="mpki")
+        scalar = session()
         assert [(row["benchmark"], row["variant"]) for row in batched] \
             == list(self.CELLS)
-        for batch_row, scalar_row in zip(batched, scalar):
-            assert payload_digest(batch_row["payload"]) \
-                == payload_digest(scalar_row["payload"])
+        for batch_row, (benchmark, variant) in zip(batched, self.CELLS):
+            assert payload_digest(batch_row["payload"]) == payload_digest(
+                scalar.run(benchmark, variant, outputs="mpki").to_dict())
 
     def test_batch_size_marker_and_shared_region(self):
         rows = session().run_cells(self.CELLS, outputs="mpki")

@@ -30,14 +30,15 @@ from repro.sched import (
     EXECUTOR_CHOICES,
     ResultStore,
     SweepPlanMismatchWarning,
+    Task,
     build_units,
     resolve_executor_name,
     result_key,
-    store_outputs_mode,
 )
 from repro.session import Session, merged_registry
 from repro.sim import experiments
 from repro.sim.bench import payload_digest
+from repro.sim.variants import cell_outputs_mode
 
 REGION = dict(instructions=800, warmup=400)
 
@@ -52,16 +53,14 @@ def session(**overrides):
 
 
 def scalar_task(index, benchmark, variant):
-    """A task tuple in the shape ``run_cells`` compiles (scalar cell)."""
-    return (None, benchmark, variant, 800, 400, True, "full",
-            {"index": index})
+    """A single-cell task, as ``run_cells`` compiles it."""
+    return Task(benchmark, ((index, variant),))
 
 
 def batch_task(index_map, benchmark):
-    """A fused batch-group task: ``(variant, index)`` member tuples."""
-    members = tuple(index_map)
-    return (None, benchmark, members, 800, 400, True, "mpki",
-            {"index": members[0][1]})
+    """A fused batch-group task: ``(variant, index)`` member pairs."""
+    return Task(benchmark, tuple((index, variant)
+                                 for variant, index in index_map))
 
 
 def host_stripped(registry):
@@ -107,7 +106,7 @@ class TestBuildUnits:
         units = build_units(tasks, list(range(len(tasks))), 4)
         # every unit stays within one benchmark and covers all tasks
         for unit in units:
-            assert len({tasks[i][1] for i in unit}) == 1
+            assert len({tasks[i].benchmark for i in unit}) == 1
         assert sorted(i for unit in units for i in unit) == list(range(8))
         assert len(units) >= 4  # ~jobs-scaled concurrency
 
@@ -251,7 +250,7 @@ class TestStoreResume:
         store = ResultStore(store_dir)
         key = result_key(config.fingerprint(), "mcf_06", "gshare",
                          REGION["instructions"], REGION["warmup"],
-                         store_outputs_mode("full", "gshare"))
+                         cell_outputs_mode("full", "gshare"))
         os.remove(store.path_for(key))
 
         resumed = Session(config)
@@ -309,6 +308,36 @@ class TestStoreResume:
         assert resumed.last_sweep["cells_resumed_from_store"] == len(CELLS)
         assert [payload_digest(row["payload"]) for row in again] == \
             [payload_digest(row["payload"]) for row in rows]
+
+
+class TestRowShape:
+    ROW_KEYS = {"benchmark", "variant", "index", "ok", "error", "payload",
+                "registry_state", "trace_cache_hit", "result_cache_hit",
+                "cell", "worker"}
+    CELL_KEYS = {"started_at", "wall_seconds", "peak_rss_kb_delta"}
+
+    def test_every_path_lands_the_same_row_keys(self, tmp_path):
+        # a fused sjeng_06 pair, a lone mcf_06 cell, and a failing cell;
+        # the second sweep resumes the three landed cells from the store
+        cells = [("sjeng_06", "bimodal"), ("sjeng_06", "gshare"),
+                 ("mcf_06", "bimodal"), ("mcf_06", "no_such_variant")]
+        store_dir = str(tmp_path / "store")
+        first = session(result_store_dir=store_dir).run_cells(
+            cells, outputs="mpki")
+        again = session(result_store_dir=store_dir).run_cells(
+            cells, outputs="mpki")
+        assert [row["cell"].get("batch_size") for row in first] == \
+            [2, 2, None, None]
+        assert [row["ok"] for row in first] == [True, True, True, False]
+        assert [bool(row.get("result_store_hit")) for row in again] == \
+            [True, True, True, False]
+        for row in first + again:
+            store_hit = {"result_store_hit"} \
+                if row.get("result_store_hit") else set()
+            assert set(row) == self.ROW_KEYS | store_hit
+            batch = {"batch_size"} if "batch_size" in row["cell"] else set()
+            assert set(row["cell"]) == self.CELL_KEYS | batch
+            assert set(row["worker"]) == {"pid", "manifest"}
 
 
 class TestPlanMismatch:

@@ -170,6 +170,25 @@ class TestDirectEntryPoints:
             is not first
         assert len(session.result_cache) == 0
 
+    def test_simulate_keys_programs_by_content_not_name(self):
+        # a Program borrowing a registered benchmark's name must not be
+        # served that benchmark's cached result
+        import copy
+        from repro.isa.program import Program
+        from repro.workloads import suite
+        mcf = suite.load("mcf_17")
+        impostor = Program([copy.copy(op) for op in mcf.uops],
+                           dict(mcf.initial_memory), name="sjeng_06")
+        config = RunConfig(instructions=2000, warmup=500)
+        session = Session(config)
+        named = session.simulate("sjeng_06", predictor="tage64")
+        borrowed = session.simulate(impostor, predictor="tage64")
+        fresh = Session(config).simulate(impostor, predictor="tage64")
+        assert borrowed is not named
+        assert borrowed.mpki == fresh.mpki != named.mpki
+        # programs are still memoized, by content
+        assert session.simulate(impostor, predictor="tage64") is borrowed
+
     def test_simulate_matches_variant_run(self):
         session = Session(RunConfig(instructions=800, warmup=400))
         lone = Session(RunConfig(instructions=800, warmup=400))
