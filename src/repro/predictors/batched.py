@@ -28,12 +28,14 @@ Two engines:
     never contribute to its dot product).
 
   - *TAGE / TAGE-SC-L / MTAGE*: lanes grouped by geometry signature
-    share one folded-history/index/tag materialization and advance
-    lane-stacked counter matrices through LUT-compiled automata — see
+    share one index/tag materialization and advance lane-stacked
+    counter matrices through LUT-compiled automata — see
     :mod:`repro.predictors.tage_batch`.  The kernel engages once a
     geometry group reaches the ``batch_min_lanes`` cutover
     (:func:`tage_min_lanes`); smaller groups stay on lockstep, where
-    the scalar loop is faster.
+    the scalar loop is faster.  Either way every folded history of the
+    stream comes from one vectorized pass
+    (:class:`~repro.predictors.storage.OutcomeFolds`).
 
   The vectorized kernels assume a *pristine* (freshly constructed)
   predictor — the scan starts every table entry from the fill value — so
@@ -44,9 +46,11 @@ Two engines:
 
 * **lockstep** (:func:`_lockstep`) — a scalar loop sharing one pass of
   the stream (and one ``bool()`` conversion of the outcome column)
-  across lanes.  It runs every lane the kernels decline, and it is the
-  differential reference the numpy kernels are pinned against in
-  ``tests/test_batch_replay.py``.
+  across lanes.  It runs every lane the kernels decline; pristine TAGE
+  lanes among them are *row-fed*, loading each history push's fold
+  registers from the vectorized pass instead of advancing them.  Called
+  with plain predictors it is the differential reference the numpy
+  kernels are pinned against in ``tests/test_batch_replay.py``.
 
 Both engines reproduce ``predict → update`` per branch bit-exactly, so
 per-lane mispredicted-PC sequences — and therefore MPKI, per-PC
@@ -68,6 +72,7 @@ from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
+from repro.predictors.storage import OutcomeFolds
 
 #: Below this many pristine perceptron lanes the per-event numpy overhead
 #: outweighs the stacked-lane win; lockstep is faster.
@@ -84,6 +89,11 @@ _calibrated_tage_min: Optional[int] = None
 
 #: The counter scan keeps per-event transition maps in uint8.
 _MAX_SCAN_STATES = 256
+
+#: Events per block of bulk fold rows loaded into a row-fed lockstep
+#: lane: rows become Python ints one block at a time, so even an MTAGE
+#: lane's row buffers stay under a megabyte however long the stream is.
+FOLD_BLOCK_EVENTS = 1024
 
 
 def warm_backend() -> None:
@@ -109,9 +119,11 @@ def _calibrate_tage_min() -> None:
 
     The columnar kernel's wall per event is nearly lane-count-flat while
     lockstep scales linearly, so the breakeven lane count is roughly
-    (kernel seconds for one stream) / (scalar seconds for one lane).
-    A tiny geometry keeps this cheap (~10ms); the ratio transfers well
-    enough for a default, and any configured ``batch_min_lanes`` wins.
+    (kernel seconds for one stream) / (lockstep seconds for one lane).
+    Both sides go through :func:`replay_lanes`, so the lockstep side is
+    the row-fed path a declined lane really takes.  A tiny geometry
+    keeps this cheap (~10ms); the ratio transfers well enough for a
+    default, and any configured ``batch_min_lanes`` wins.
     """
     global _calibrated_tage_min
     if _calibrated_tage_min is not None:
@@ -124,23 +136,19 @@ def _calibrate_tage_min() -> None:
                         useful_reset_period=1 << 9)
     pcs = [(i * 193) & 0x3FF for i in range(512)]
     takens = [bool((i * 29 >> 2) & 1) for i in range(512)]
-    scalar = TagePredictor(config)
-    observe = scalar.observe
-    start = perf_counter()
-    for pc, taken in zip(pcs, takens):
-        observe(pc, taken)
-    scalar_wall = perf_counter() - start
-    pcs_v = np.asarray(pcs, dtype=np.int64)
-    taken_v = np.asarray(takens, dtype=bool)
-    kernel_lanes = [TagePredictor(config) for _ in range(4)]
-    start = perf_counter()
-    tage_batch.run_tage_lanes(np, kernel_lanes, range(4), pcs_v, taken_v,
-                              len(pcs), min_lanes=1)
-    kernel_wall = perf_counter() - start
-    if scalar_wall <= 0:
+
+    def wall(min_lanes: int) -> float:
+        lanes = [TagePredictor(config)]
+        start = perf_counter()
+        replay_lanes(lanes, pcs, takens, len(pcs), min_lanes=min_lanes)
+        return perf_counter() - start
+
+    lockstep_wall = wall(2)  # one lane below a cutover of 2: declined
+    kernel_wall = wall(1)
+    if lockstep_wall <= 0:
         _calibrated_tage_min = DEFAULT_TAGE_MIN_LANES
         return
-    breakeven = -(-kernel_wall // scalar_wall)  # ceil of the ratio
+    breakeven = -(-kernel_wall // lockstep_wall)  # ceil of the ratio
     _calibrated_tage_min = max(4, min(16, int(breakeven)))
 
 
@@ -192,28 +200,48 @@ def replay_lanes(predictors: Sequence[BranchPredictor],
 
 def _lockstep(predictors: Sequence[BranchPredictor],
               pcs: Sequence[int], takens: Sequence[int],
-              split: int) -> List[List[int]]:
+              split: int, folds=None, fed: Sequence = ()
+              ) -> List[List[int]]:
     """Scalar fallback: one stream pass feeding every lane in lockstep.
 
     Valid for any predictor in any starting state — it drives the
     instances' own ``observe`` — so it doubles as the escape hatch for
     trained/unsupported lanes inside the numpy kernels.
+
+    ``fed`` lists folded-history components of pristine TAGE-family
+    lanes (:func:`~repro.predictors.tage_batch.fold_parts`) whose history
+    pushes are served from ``folds``, the stream's
+    :class:`~repro.predictors.storage.OutcomeFolds`, one block of
+    :data:`FOLD_BLOCK_EVENTS` at a time; their ``observe`` is otherwise
+    unchanged and their final state is a plain loop's.  With no ``fed``
+    components this is the plain ``observe`` loop.
     """
     outcomes = [bool(taken) for taken in takens]
     lanes: List[List[int]] = [[] for _ in predictors]
     observes = [predictor.observe for predictor in predictors]
-    for position in range(split):
-        pc = pcs[position]
-        taken = outcomes[position]
-        for observe in observes:
-            observe(pc, taken)
     pairs = list(zip(observes, [lane.append for lane in lanes]))
-    for position in range(split, len(pcs)):
-        pc = pcs[position]
-        taken = outcomes[position]
-        for observe, record in pairs:
-            if observe(pc, taken) != taken:
-                record(pc)
+    count = len(pcs)
+    step = FOLD_BLOCK_EVENTS if fed else max(count, 1)
+    try:
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            for part in fed:
+                part.load_fold_rows(folds, start, stop)
+            for position in range(start, min(stop, split)):
+                pc = pcs[position]
+                taken = outcomes[position]
+                for observe in observes:
+                    observe(pc, taken)
+            for position in range(max(start, split), stop):
+                pc = pcs[position]
+                taken = outcomes[position]
+                for observe, record in pairs:
+                    if observe(pc, taken) != taken:
+                        record(pc)
+    finally:
+        # row buffers never outlive the call, even when a lane raised
+        for part in fed:
+            part.unload_fold_rows(folds.taken_v, count)
     return lanes
 
 
@@ -248,6 +276,8 @@ def _numpy_lanes(np, predictors, pcs, takens, split, min_tage_lanes):
     results: List[Optional[List[int]]] = [None] * len(predictors)
     pcs_v = np.asarray(pcs).astype(np.int64)
     taken_v = np.frombuffer(bytes(takens), dtype=np.uint8) != 0
+    folds = OutcomeFolds(np, taken_v)
+    fed: list = []
     stacked: List[int] = []
     perceptrons: List[int] = []
     tage_lanes: List[int] = []
@@ -340,17 +370,20 @@ def _numpy_lanes(np, predictors, pcs, takens, split, min_tage_lanes):
     alias: dict = {}
     if tage_lanes:
         kernel_results, alias, declined = tage_batch.run_tage_lanes(
-            np, predictors, tage_lanes, pcs_v, taken_v, split,
+            np, predictors, tage_lanes, folds, pcs_v, split,
             min_tage_lanes)
         for lane, mispredicts in kernel_results.items():
             results[lane] = mispredicts
         # geometry groups below the cutover lose to lockstep: route their
-        # unique representatives through the fallback with everyone else
+        # unique representatives through the fallback with everyone else,
+        # their history pushes served from the stream's bulk fold rows
         fallback.extend(declined)
+        fed = [part for lane in declined
+               for part in tage_batch.fold_parts(predictors[lane])]
     if fallback:
         fallback.sort()
         lanes = _lockstep([predictors[lane] for lane in fallback],
-                          pcs, takens, split)
+                          pcs, takens, split, folds, fed)
         for lane, mispredicts in zip(fallback, lanes):
             results[lane] = mispredicts
     # duplicate-configuration TAGE lanes share their representative's

@@ -110,3 +110,73 @@ class HistoryBuffer:
     def bit(self, age: int) -> int:
         """Outcome of the branch ``age`` steps ago (0 = most recent)."""
         return self._buffer[(self._head - age) % self._size]
+
+    def refill(self, outcomes, count: int) -> None:
+        """Take the state ``count`` pushes of ``outcomes`` leave behind.
+
+        Valid on a buffer no push has touched: only the last ``size``
+        pushes survive in the ring, so they are the only ones replayed.
+        """
+        tail = min(count, self._size)
+        self._head = (count - tail) % self._size
+        for taken in outcomes[count - tail:count].tolist():
+            self.push(taken)
+
+
+class OutcomeFolds:
+    """Every folded-history register of one outcome stream, in bulk.
+
+    A :class:`FoldedHistory` of length ``L`` compressed to ``C`` bits is
+    linear over GF(2) and starts from zero: before event ``t`` it holds,
+    for each of the last ``L`` outcomes, the outcome ``j`` events back at
+    bit ``j mod C``.  Placing outcome ``u`` at bit ``-u mod C`` instead
+    makes that a window of one stream-wide prefix XOR,
+    ``P(t) ^ P(t - L)``, rotated left by ``(t - 1) mod C``, so a block of
+    events and tables costs a few numpy operations however long the
+    histories are.  One prefix array is kept per compressed length, for
+    as long as the instance lives.
+    """
+
+    def __init__(self, np, taken_v):
+        self.np = np
+        self.taken_v = taken_v
+        self._prefixes: dict = {}
+
+    def _prefix(self, comp_len: int):
+        prefix = self._prefixes.get(comp_len)
+        if prefix is None:
+            np = self.np
+            count = len(self.taken_v)
+            shifts = -np.arange(count, dtype=np.int64) % comp_len
+            prefix = np.zeros(count + 1, dtype=np.int64)
+            np.bitwise_xor.accumulate(self.taken_v.astype(np.int64) << shifts,
+                                      out=prefix[1:])
+            self._prefixes[comp_len] = prefix
+        return prefix
+
+    def rows(self, lengths, comp_len: int, start: int, stop: int):
+        """``(stop - start, len(lengths))`` int64 registers before each event.
+
+        Row ``k`` holds every length's ``comp_len``-bit fold as it stands
+        before event ``start + k`` (``stop`` may reach the stream length:
+        the registers after the last push).  Bit-identical to advancing a
+        zeroed :class:`FoldedHistory` per length over the stream, provided
+        each length is at most the history ring's span.
+        """
+        np = self.np
+        prefix = self._prefix(comp_len)
+        count = stop - start
+        window = np.empty((len(lengths), count), dtype=np.int64)
+        for row, length in zip(window, lengths):
+            low = start - length
+            if low >= 0:
+                row[:] = prefix[low:low + count]
+            else:  # the window reaches past the stream start: P(0) = 0
+                lead = min(-low, count)
+                row[:lead] = 0
+                row[lead:] = prefix[:count - lead]
+        window ^= prefix[start:stop]
+        turn = np.arange(start - 1, stop - 1, dtype=np.int64) % comp_len
+        window = (window << turn) | (window >> (comp_len - turn))
+        window &= (1 << comp_len) - 1
+        return window.T

@@ -153,24 +153,41 @@ class StatisticalCorrector:
             comp ^= comp >> comp_len
             comps[position] = comp & comp_mask
 
-    def hash_block(self, pcs, takens):
-        """Materialize every event's table-index row, advancing the folds.
+    # -- bulk fold rows (batched replay) ------------------------------------
 
-        The corrector twin of :meth:`TagePredictor.hash_block`: indices
-        depend on the PC and outcome stream only, so one fresh instance
-        serves as the shared fold engine for all same-geometry lanes of a
-        batched group.
+    def index_rows(self, folds, pcs_v, start, stop):
+        """Events start..stop-1's table indices, ``(events, tables)`` int64.
+
+        The corrector twin of
+        :meth:`~repro.predictors.tage.TagePredictor.hash_rows`: indices
+        depend on the PC and outcome columns only, so they come from the
+        stream's :class:`~repro.predictors.storage.OutcomeFolds`.
         """
-        mask = self._mask
-        comps = self._fold_comps
-        push = self._push_history
-        rows = []
-        append = rows.append
-        for pc, taken in zip(pcs, takens):
-            pcx = pc ^ (pc >> 3)
-            append([(pcx ^ comp) & mask for comp in comps])
-            push(taken)
-        return rows
+        comps = folds.rows(self.history_lengths, self.table_size_log2,
+                           start, stop)
+        pcs = pcs_v[start:stop]
+        return comps ^ ((pcs ^ (pcs >> 3)) & self._mask)[:, None]
+
+    def load_fold_rows(self, folds, start, stop) -> None:
+        """Serve the history pushes of events start..stop-1 from ``folds``.
+
+        The corrector twin of
+        :meth:`~repro.predictors.tage.TagePredictor.load_fold_rows`: each
+        push loads the next event's fold registers.
+        """
+        rows = folds.rows(self.history_lengths, self.table_size_log2,
+                          start + 1, stop + 1).tolist()
+        self._fold_next = iter(rows).__next__
+        self._push_history = self._push_fold_row
+
+    def _push_fold_row(self, taken: bool) -> None:
+        self._fold_comps = self._fold_next()
+
+    def unload_fold_rows(self, taken_v, count: int) -> None:
+        """Drop the row buffers; rebuild the history ring ``count`` leave."""
+        vars(self).pop("_push_history", None)
+        vars(self).pop("_fold_next", None)
+        self._history.refill(taken_v, count)
 
     def export_state(self) -> dict:
         """Mutable corrector state, for lane packing / pristine checks."""

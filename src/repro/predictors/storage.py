@@ -26,7 +26,8 @@ The original list/object implementations are preserved verbatim in
 pins bit-identity between the two spellings.
 
 The :mod:`~repro.predictors.counters` primitives (``Lfsr``,
-``FoldedHistory``, ``HistoryBuffer``, scalar saturate helpers) are
+``FoldedHistory`` and its bulk twin ``OutcomeFolds``, ``HistoryBuffer``,
+scalar saturate helpers) are
 re-exported here so predictor modules have a single storage import.
 """
 
@@ -40,6 +41,7 @@ from repro.predictors.counters import (  # noqa: F401  (re-exports)
     FoldedHistory,
     HistoryBuffer,
     Lfsr,
+    OutcomeFolds,
     counter_predicts_taken,
     saturate_down,
     saturate_up,
@@ -50,6 +52,7 @@ __all__ = [
     "FoldedHistory",
     "HistoryBuffer",
     "Lfsr",
+    "OutcomeFolds",
     "counter_predicts_taken",
     "saturate_down",
     "saturate_up",

@@ -20,13 +20,16 @@ Every table shares ``table_size_log2``, which makes the index mask, tag
 mask, and PC pre-hash shift constants of the predict loop.  Saturating
 counter steps go through precomputed clamp tables and the graceful
 useful-bit reset is a C-level ``bytes.translate`` over each packed useful
-store.  The original per-object spelling is preserved in
+store.  Batched replay computes the same folds for a whole stream in bulk
+(:meth:`TagePredictor.hash_rows`, :meth:`TagePredictor.load_fold_rows`).
+The original per-object spelling is preserved in
 :class:`repro.predictors.reference.ReferenceTagePredictor` and bit-identity
 between the two is pinned by ``tests/test_predictor_packed_differential.py``.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from struct import unpack
 from typing import List, Optional
 
@@ -399,36 +402,78 @@ class TagePredictor(BranchPredictor):
         comp ^= (comp & self._ft1_hi) >> self._ft1_len
         self._FT1 = comp & self._ft1_lmask
 
-    def hash_block(self, pcs, takens):
-        """Materialize every event's (indices, tags) rows, advancing folds.
+    # -- bulk fold rows (batched replay) ------------------------------------
 
-        The ``predict()``-side hash expressions plus the ``update()``-side
-        history push, with all table lookups stripped: table indices and
-        tags are a function of the PC and the outcome stream alone, never
-        of table state, so the batched kernel drives ONE fresh instance as
-        the shared fold engine of a whole geometry group and reuses the
-        returned rows for every lane.
+    def _fold_families(self, folds, start, stop) -> dict:
+        """Fold rows of events start..stop-1 per compressed length.
+
+        The index, tag and tag<<1 families are keyed by their compressed
+        lengths; families of equal length are the same registers, so each
+        distinct length is computed once.
         """
-        ones = self._lane_ones
-        fmt = self._fmt
-        nbytes = self._nbytes
-        mask = self._mask
-        tag_mask = self._tag_mask
-        shift = self._pc_shift
-        push = self._push_history
-        idx_rows = []
-        tag_rows = []
-        append_idx = idx_rows.append
-        append_tag = tag_rows.append
-        for pc, taken in zip(pcs, takens):
-            pcx = pc ^ (pc >> shift)
-            append_idx(unpack(fmt, (self._FI ^ ((pcx & mask) * ones))
-                              .to_bytes(nbytes, "little")))
-            append_tag(unpack(fmt, (self._FT0 ^ (self._FT1 << 1)
-                                    ^ ((pc & tag_mask) * ones))
-                              .to_bytes(nbytes, "little")))
-            push(taken)
-        return idx_rows, tag_rows
+        return {comp_len: folds.rows(self._hist_lengths, comp_len, start,
+                                     stop)
+                for comp_len in {self._fi_len, self._ft0_len,
+                                 self._ft1_len}}
+
+    def hash_rows(self, folds, pcs_v, start, stop):
+        """Events start..stop-1's table indices and tags, ``(events, tables)``.
+
+        The bulk twin of ``predict()``'s hash: indices and tags depend on
+        the PC and outcome columns alone, never on table state, so the
+        batched kernel computes them for a whole block of a fresh
+        predictor's stream from ``folds`` (an
+        :class:`~repro.predictors.storage.OutcomeFolds` of the stream).
+        """
+        families = self._fold_families(folds, start, stop)
+        pcs = pcs_v[start:stop]
+        pcx = (pcs ^ (pcs >> self._pc_shift)) & self._mask
+        return (families[self._fi_len] ^ pcx[:, None],
+                families[self._ft0_len] ^ (families[self._ft1_len] << 1)
+                ^ (pcs & self._tag_mask)[:, None])
+
+    def load_fold_rows(self, folds, start, stop) -> None:
+        """Serve the history pushes of events start..stop-1 from ``folds``.
+
+        Each push then loads the packed fold registers precomputed for the
+        next event instead of advancing them table by table; ``predict``
+        and ``update`` are untouched.  Blocks must be loaded in stream
+        order from a predictor whose history is still zero, and
+        :meth:`unload_fold_rows` must follow the last one.
+        """
+        np = folds.np
+        lane = np.dtype("<u2" if self._lane == 16 else "<u4")
+        row = np.dtype((np.void, self._nbytes))
+        packed = {}
+        for comp_len, rows in self._fold_families(
+                folds, start + 1, stop + 1).items():
+            # one little-endian byte string per event, then one C-level
+            # int conversion each: the event's SWAR register
+            events = rows.astype(lane, order="C").view(row).ravel()
+            packed[comp_len] = list(map(int.from_bytes, events.tolist(),
+                                        repeat("little")))
+        self._fold_next = zip(packed[self._fi_len], packed[self._ft0_len],
+                              packed[self._ft1_len]).__next__
+        self._push_history = self._push_fold_row
+
+    def _push_fold_row(self, taken: bool) -> None:
+        self._FI, self._FT0, self._FT1 = self._fold_next()
+
+    def unload_fold_rows(self, taken_v, count: int) -> None:
+        """Go back to incremental pushes after ``count`` row-fed events.
+
+        Drops the row buffers and rebuilds the history ring and fold
+        tails those events leave, so the instance's state equals that of
+        a plain ``observe`` loop over the same stream.
+        """
+        vars(self).pop("_push_history", None)
+        vars(self).pop("_fold_next", None)
+        history = self._history
+        history.refill(taken_v, count)
+        head = history._head
+        size = history._size
+        for row, length in zip(self._fold_rows, self._hist_lengths):
+            row[0] = (head - length) % size
 
     # -- state export (lane packing / pristine checks) ----------------------
 

@@ -13,9 +13,12 @@ Structure
   the outcome stream alone — never of table state — so lanes that agree on
   the hash geometry (``num_tables``, ``table_size_log2``, ``tag_bits``,
   history lengths; plus the corrector's sizing for TAGE-SC-L lanes) share
-  ONE folded-history engine: a single fresh predictor instance advances its
-  SWAR-packed folds over the stream and materializes each event's
-  index/tag row once per group (`TagePredictor.hash_block`).
+  one set of per-block index/tag rows, built from the stream's bulk
+  folded histories (:class:`~repro.predictors.storage.OutcomeFolds`,
+  ``TagePredictor.hash_rows``, ``StatisticalCorrector.index_rows``).  The
+  same folds serve lanes a group too small for the kernel leaves to
+  lockstep: :func:`fold_parts` names the components whose history pushes
+  the lockstep pass then loads from them.
 
 * **Block precompute.**  Tag tables mutate only on allocation (rare), so
   whole blocks of events resolve their tag matches, provider/altpred table
@@ -49,8 +52,10 @@ Bit-identity to the scalar ``predict → update`` discipline — mispredict
 PC sequences, and therefore MPKI, per-PC breakdowns, and payload digests —
 is the contract, pinned by ``tests/test_tage_batch_differential.py``
 against the reference implementations and by ``tests/test_batch_replay.py``
-against the lockstep backend.  Lanes are gated on being *pristine* and
-exact-type (`supported`); anything else stays on the lockstep path.
+against the lockstep backend; ``tests/test_fold_rows.py`` pins the bulk
+rows against the incremental folds.  Lanes are gated on being *pristine*
+and exact-type (`supported`); anything else stays on the plain lockstep
+path.
 """
 
 from __future__ import annotations
@@ -69,15 +74,19 @@ from repro.predictors.tage_scl import TageSCL
 #: mid-block allocation patch maps stay cache-friendly.
 BLOCK_EVENTS = 1024
 
-__all__ = ["BLOCK_EVENTS", "supported", "run_tage_lanes"]
+__all__ = ["BLOCK_EVENTS", "supported", "fold_parts", "run_tage_lanes"]
 
 
 # -- lane gating -------------------------------------------------------------
 
 def _geometry_ok(cfg) -> bool:
     # dtype envelopes of the stacked arrays (int8 counters with headroom
-    # for the pre-clamp +/-1, uint16 tags, float64-exact provider packing)
+    # for the pre-clamp +/-1, uint16 tags, float64-exact provider packing);
+    # bulk fold rows equal the incremental folds only while every history
+    # length fits the predictor's history ring
     return (cfg.counter_bits <= 7
+            and all(0 <= length <= cfg.max_history + 1
+                    for length in cfg.history_lengths)
             and cfg.useful_bits <= 7
             and cfg.tag_bits <= 16
             and cfg.table_size_log2 <= 24
@@ -122,6 +131,18 @@ def supported(predictor) -> bool:
     return _pristine(predictor, fresh)
 
 
+def fold_parts(predictor) -> tuple:
+    """The components of a :func:`supported` lane that fold history.
+
+    Each has ``load_fold_rows``/``unload_fold_rows``, through which the
+    lockstep fallback serves the lane's history pushes from bulk fold
+    rows instead of advancing its folds per event.
+    """
+    if type(predictor) is TagePredictor:
+        return (predictor,)
+    return (predictor.tage, predictor.corrector)
+
+
 def _tage_sig(cfg) -> tuple:
     return (cfg.num_tables, cfg.table_size_log2, cfg.tag_bits,
             cfg.max_history, tuple(cfg.history_lengths))
@@ -153,7 +174,7 @@ def _dedupe_key(predictor) -> tuple:
 
 # -- entry point -------------------------------------------------------------
 
-def run_tage_lanes(np, predictors, lanes: Sequence[int], pcs_v, taken_v,
+def run_tage_lanes(np, predictors, lanes: Sequence[int], folds, pcs_v,
                    split: int, min_lanes: int
                    ) -> Tuple[Dict[int, List[int]], Dict[int, int],
                               List[int]]:
@@ -164,7 +185,9 @@ def run_tage_lanes(np, predictors, lanes: Sequence[int], pcs_v, taken_v,
     lanes at their representative (duplicates share the representative's
     result *object*, whichever path produced it), and representative
     lanes from groups too small to beat lockstep (``min_lanes``) which
-    the caller must route to the fallback.
+    the caller must route to the fallback.  ``folds`` is the stream's
+    :class:`~repro.predictors.storage.OutcomeFolds`, which also carries
+    its outcome column.
     """
     reps: Dict[tuple, int] = {}
     alias: Dict[int, int] = {}
@@ -184,7 +207,7 @@ def run_tage_lanes(np, predictors, lanes: Sequence[int], pcs_v, taken_v,
             declined.extend(members)
             continue
         lists = _run_group(np, [predictors[lane] for lane in members],
-                           pcs_v, taken_v, split)
+                           folds, pcs_v, split)
         for lane, mispredicts in zip(members, lists):
             results[lane] = mispredicts
     return results, alias, declined
@@ -327,8 +350,9 @@ def _useful_luts(np, useful_maxes):
 
 # -- the kernel --------------------------------------------------------------
 
-def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
+def _run_group(np, reps, folds, pcs_v, split: int) -> List[List[int]]:
     """Advance one geometry group's lanes over the whole stream."""
+    taken_v = folds.taken_v
     scl = type(reps[0]) is TageSCL
     tages = [p.tage if scl else p for p in reps]
     lane_count = len(reps)
@@ -427,16 +451,8 @@ def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
         cm32_i8 = np.full(lane_count, -32, dtype=np.int8)
         c31_2d = np.full((lane_count, n_sc), 31, dtype=np.int8)
         cm32_2d = np.full((lane_count, n_sc), -32, dtype=np.int8)
-        sc_engine = StatisticalCorrector(sc0.history_lengths,
-                                         sc0.table_size_log2)
 
-    # shared fold engine: one fresh instance per group (hashes depend on
-    # the stream alone).  reps[0] itself is pristine, but lanes are
-    # documented as consumed by the batch call — a private engine keeps
-    # the instances untouched for post-mortem inspection.
-    engine = TagePredictor(t0.config)
     table_off = np.arange(num_tables, dtype=np.int64) * size
-    table_off_list = table_off.tolist()
     last_table = num_tables - 1
     lanes_out: List[List[int]] = [[] for _ in lane_range]
     appends = [lane.append for lane in lanes_out]
@@ -450,10 +466,11 @@ def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
         pcs_blk = pcs_v[block_start:block_end]
         rows = np.arange(block)[:, None]
 
-        # shared hash streams for the block
-        idx_rows, tag_rows = engine.hash_block(pcs_list, tk_list)
-        idx_blk = np.asarray(idx_rows, dtype=np.int64)     # (B, T)
-        tag_blk = np.asarray(tag_rows, dtype=np.int64)
+        # hashes depend on the stream alone: the block's index/tag rows
+        # come from the bulk folds, through the group's first lane (it
+        # only supplies geometry and stays untouched)
+        idx_blk, tag_blk = t0.hash_rows(folds, pcs_v, block_start,
+                                        block_end)         # (B, T)
         gidx_blk = idx_blk + table_off                     # (B, T)
 
         # tag matches and provider/alt selection for the whole block;
@@ -493,9 +510,8 @@ def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
                 + loop_off[None, :]
             ltagT = (pcs_blk[:, None] >> loop_shift[None, :]) \
                 & loop_tag_mask[None, :]
-            sc_rows = sc_engine.hash_block(pcs_list, tk_list)
-            gscT = (np.asarray(sc_rows, dtype=np.int64)
-                    + sc_t_off)[:, None, :] \
+            sc_rows = sc0.index_rows(folds, pcs_v, block_start, block_end)
+            gscT = (sc_rows + sc_t_off)[:, None, :] \
                 + sc_lane_off[None, :, None]               # (B, L, n_sc)
             pcbT = ((pcs_blk << 1) & bias_mask)[:, None] \
                 + bias_off[None, :]
@@ -624,10 +640,9 @@ def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
             do_alloc = tage_wrong & can_allocT[i]
             if 1 in do_alloc.tobytes():
                 lanes_a = np.nonzero(do_alloc)[0].tolist()
-                idx_row_l = idx_rows[i]
-                tag_row_l = tag_rows[i]
-                gidx_row_l = [index + toff for index, toff
-                              in zip(idx_row_l, table_off_list)]
+                idx_row_l = idx_blk[i].tolist()
+                tag_row_l = tag_blk[i].tolist()
+                gidx_row_l = gidx_blk[i].tolist()
                 prov_col = provT[i].tolist()
                 # one gather covers every allocating lane's useful row;
                 # candidate scans then run on plain Python lists
@@ -679,25 +694,23 @@ def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
                     for j in positions[bisect_right(positions, i):]:
                         bits = int(match_bits[lane, j])
                         if bool(bits & bit) == \
-                                (tag_rows[j][chosen] == new_tag):
+                                (tag_blk[j, chosen] == new_tag):
                             continue
                         bits ^= bit
                         match_bits[lane, j] = bits
                         provider_j = bits.bit_length() - 1
                         alt_j = (bits ^ (1 << provider_j)) \
                             .bit_length() - 1 if bits else -1
-                        row_j = idx_rows[j]
                         provT[j, lane] = provider_j
                         has_provT[j, lane] = provider_j >= 0
                         not_provT[j, lane] = provider_j < 0
                         has_altT[j, lane] = alt_j >= 0
                         can_allocT[j, lane] = provider_j < last_table
                         gpT[j, lane] = off + (
-                            row_j[provider_j] + table_off_list[provider_j]
+                            gidx_blk[j, provider_j]
                             if provider_j >= 0 else scratch)
                         gaT[j, lane] = off + (
-                            row_j[alt_j] + table_off_list[alt_j]
-                            if alt_j >= 0 else scratch)
+                            gidx_blk[j, alt_j] if alt_j >= 0 else scratch)
 
             tick += 1
             if tick == next_due:
